@@ -11,7 +11,6 @@ graphs class two (c = 1: the boat still has to carry each item).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 from .cover import check_minimum_cover, independent_subsets, min_covers
 from .cover import DEFAULT_ENUMERATION_LIMIT
@@ -61,7 +60,7 @@ class Degenerate:
     """Empty graph; nothing to transport."""
 
 
-Reason = Union[MultipleCovers, PairWitness, SetWitness, ConditionHolds, Degenerate]
+Reason = MultipleCovers | PairWitness | SetWitness | ConditionHolds | Degenerate
 
 
 @dataclass(frozen=True)

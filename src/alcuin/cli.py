@@ -350,7 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", action="store_true", help="render a crossing table")
     p.add_argument("--labels", help="comma-separated vertex labels for --trace")
     p.add_argument("--cover-limit", type=int, default=16)
-    p.add_argument("--search-limit", type=int, default=12, help="oracle vertex budget")
+    p.add_argument(
+        "--search-limit",
+        type=int,
+        default=oracle.DEFAULT_SEARCH_LIMIT,
+        help="oracle vertex budget",
+    )
     p.set_defaults(func=_cmd_schedule)
 
     p = sub.add_parser("verify", help="check a schedule JSON document against a graph")

@@ -19,7 +19,7 @@ from .classify import (
     SetWitness,
 )
 from .cover import CoverReport
-from .graph import Graph, girth, is_claw_free, is_regular, vertices_of
+from .graph import MAX_VERTICES, Graph, girth, is_claw_free, is_regular, vertices_of
 from .schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 
@@ -108,8 +108,8 @@ def parse_edge_list(text: str) -> Graph:
                 n = int(fields[1])
             except ValueError:
                 raise FormatError(f"line {lineno}: bad vertex count {fields[1]!r}") from None
-            if n < 0:
-                raise FormatError(f"line {lineno}: negative vertex count")
+            if not 0 <= n <= MAX_VERTICES:
+                raise FormatError(f"line {lineno}: vertex count {n} outside 0..{MAX_VERTICES}")
             continue
         if len(fields) != 2:
             raise FormatError(f"line {lineno}: expected 'u v'")
@@ -151,7 +151,8 @@ def parse_schedule_json(text: str) -> Schedule:
     try:
         capacity = doc["capacity"]
         raw_moves = doc["moves"]
-        if not isinstance(capacity, int) or capacity < 0:
+        # type() rather than isinstance(): JSON true/false decode to bool, an int
+        if type(capacity) is not int or capacity < 0:
             raise FormatError("capacity must be a nonnegative integer")
         moves = []
         for m in raw_moves:
@@ -160,7 +161,7 @@ def parse_schedule_json(text: str) -> Schedule:
                 raise FormatError(f"bad move direction {direction!r}")
             cargo = 0
             for v in m["cargo"]:
-                if not isinstance(v, int) or v < 0:
+                if type(v) is not int or not 0 <= v < MAX_VERTICES:
                     raise FormatError(f"bad cargo vertex {v!r}")
                 cargo |= 1 << v
             moves.append(Move(direction, cargo))

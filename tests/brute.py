@@ -72,3 +72,21 @@ def is_connected(g: Graph) -> bool:
 def relabel(g: Graph, perm: list[int]) -> Graph:
     """Graph with vertex v renamed perm[v]."""
     return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def brute_cargo_choices(adj: tuple[int, ...], bank: int, b: int) -> list[int]:
+    """Legal cargos by walking every submask of the bank: those of at most b
+    vertices whose removal leaves the bank independent, ascending by size,
+    then mask."""
+    out = []
+    sub = bank
+    while True:
+        # sub runs over all submasks of bank descending; rest is the bank remainder
+        if sub.bit_count() <= b:
+            rest = bank ^ sub
+            if all(not adj[v] & rest for v in bits(rest)):
+                out.append((sub.bit_count(), sub))
+        if sub == 0:
+            break
+        sub = (sub - 1) & bank
+    return [sub for _, sub in sorted(out)]

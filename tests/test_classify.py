@@ -1,3 +1,7 @@
+import gc
+import importlib
+import sys
+
 import pytest
 
 from alcuin import (
@@ -147,3 +151,26 @@ class TestFastPaths:
             cls = classify(g)
             if fast_paths(g, rep.covers[0]) is not None:
                 assert cls.verdict == CLASS_ONE
+
+
+def _drop_alcuin_modules():
+    return {k: sys.modules.pop(k) for k in list(sys.modules) if k.split(".")[0] == "alcuin"}
+
+
+def test_reimport_keeps_one_live_classify_module():
+    # a typing.Union over the reason classes sits in typing's cache and would
+    # keep every re-imported copy of the package alive
+    saved = _drop_alcuin_modules()
+    try:
+        for _ in range(4):
+            importlib.import_module("alcuin")
+            _drop_alcuin_modules()
+    finally:
+        sys.modules.update(saved)
+    gc.collect()
+    live = [
+        o
+        for o in gc.get_objects()
+        if isinstance(o, dict) and o.get("__name__") == "alcuin.classify"
+    ]
+    assert len(live) == 1

@@ -46,6 +46,12 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "B")
         assert code == 2 and "error" in err
 
+    def test_oversized_edge_list_header_exits_2(self, capsys, tmp_path):
+        p = tmp_path / "g.edges"
+        p.write_text("n 100000000\n0 1\n")
+        code, _, err = run(capsys, "analyze", "--edge-list", str(p))
+        assert code == 2 and "vertex count" in err
+
     def test_conflicting_inputs_exit_2(self, capsys):
         code, _, _ = run(capsys, "analyze", "Bg", "--gen", "star:3")
         assert code == 2
@@ -123,6 +129,20 @@ class TestVerify:
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "verify", str(tmp_path / "nope.json"), "Bg")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"capacity": true, "moves": []}',
+            '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [false]}]}',
+            '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [64]}]}',
+        ],
+    )
+    def test_out_of_type_or_range_values_exit_2(self, capsys, tmp_path, doc):
+        p = tmp_path / "sched.json"
+        p.write_text(doc)
+        code, _, err = run(capsys, "verify", str(p), "Bg")
+        assert code == 2 and "cannot read schedule" in err
 
     def test_bad_json_exits_2(self, capsys, tmp_path):
         p = tmp_path / "sched.json"

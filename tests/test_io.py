@@ -101,6 +101,16 @@ class TestEdgeList:
         with pytest.raises(FormatError, match="line 3"):
             parse_edge_list("n 2\n0 1\nx y")
 
+    def test_vertex_count_capped_before_allocation(self):
+        # a huge header must fail on the count, not on allocating n slots
+        with pytest.raises(FormatError, match="line 1"):
+            parse_edge_list("n 100000000\n0 1")
+        with pytest.raises(FormatError, match="line 1"):
+            parse_edge_list("n 65")
+        with pytest.raises(FormatError, match="line 1"):
+            parse_edge_list("n -1")
+        assert parse_edge_list("n 64").n == 64
+
     def test_serialize_sorted(self):
         g = Graph.from_edges(3, [(2, 1), (1, 0)])
         assert serialize_edge_list(g) == "n 3\n0 1\n1 2\n"
@@ -124,6 +134,10 @@ class TestScheduleJson:
         sched = Schedule(2, (Move(LEFT_TO_RIGHT, 0b011), Move(RIGHT_TO_LEFT, 0)))
         assert parse_schedule_json(schedule_json(sched)) == sched
 
+    def test_highest_vertex_id_accepted(self):
+        doc = '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [63]}]}'
+        assert parse_schedule_json(doc).moves == (Move(LEFT_TO_RIGHT, 1 << 63),)
+
     def test_deterministic_bytes(self):
         sched = Schedule(2, (Move(LEFT_TO_RIGHT, 0b101),))
         assert schedule_json(sched) == schedule_json(sched)
@@ -137,6 +151,11 @@ class TestScheduleJson:
             '{"capacity": 1, "moves": [{"dir": "UP", "cargo": []}]}',
             '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [-2]}]}',
             '{"capacity": 1, "moves": [{"dir": "LR"}]}',
+            '{"capacity": true, "moves": []}',
+            '{"capacity": false, "moves": []}',
+            '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [true]}]}',
+            '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [64]}]}',
+            '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [100000000000000000000]}]}',
         ],
     )
     def test_malformed_documents(self, doc):

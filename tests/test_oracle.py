@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from alcuin import (
@@ -10,7 +13,10 @@ from alcuin import (
     verify_schedule,
 )
 from alcuin import generators as gen
-from brute import relabel
+from alcuin import oracle
+from alcuin.schedule import LEFT_TO_RIGHT as LR
+from alcuin.schedule import RIGHT_TO_LEFT as RL
+from brute import brute_cargo_choices, brute_min_covers, relabel
 
 P3 = gen.path(3)
 
@@ -61,6 +67,69 @@ class TestFeasible:
             feasible(P3, -1)
 
 
+class TestCargoChoices:
+    def test_matches_submask_walk(self):
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                for bank in range(g.full_mask + 1):
+                    for b in range(n + 1):
+                        expected = brute_cargo_choices(g.adj, bank, b)
+                        assert oracle._cargo_choices(g.adj, bank, b) == expected
+
+    def test_order_on_a_larger_bank(self):
+        g = gen.random_graph(12, 0.4, 1)
+        for bank in (g.full_mask, 0b101101101101, 0b111111000000):
+            for b in (0, 3, 6, 12):
+                expected = brute_cargo_choices(g.adj, bank, b)
+                assert oracle._cargo_choices(g.adj, bank, b) == expected
+
+
+class TestPinnedSearch:
+    """Counts and schedules of the submask-walking search this one replaced;
+    any change in move order or state handling shows up here."""
+
+    @pytest.mark.parametrize(
+        "g, b, expected",
+        [
+            (gen.path(3), 1, (True, 7, 9)),
+            (gen.star(3), 1, (False, None, 9)),
+            (gen.star(3), 2, (True, 5, 14)),
+            (gen.hypercube(3), 4, (True, 3, 4)),
+            (gen.complete_bipartite(3, 9), 3, (False, None, 267)),
+            (gen.complete_bipartite(3, 9), 4, (True, 9, 861)),
+            (gen.random_graph(12, 0.4, 1), 6, (True, 5, 350)),
+        ],
+    )
+    def test_counts(self, g, b, expected):
+        res = feasible(g, b)
+        assert (res.feasible, res.min_crossings, res.states_expanded) == expected
+
+    def test_schedules(self):
+        moves = feasible(gen.random_graph(12, 0.4, 1), 6).schedule.moves
+        assert [(m.direction, m.cargo) for m in moves] == [
+            (LR, 2916), (RL, 96), (LR, 1179), (RL, 2820), (LR, 2916),
+        ]
+        moves = feasible(gen.complete_bipartite(3, 9), 4).schedule.moves
+        assert [(m.direction, m.cargo) for m in moves] == [
+            (LR, 7), (RL, 0), (LR, 120), (RL, 7), (LR, 135),
+            (RL, 7), (LR, 3840), (RL, 0), (LR, 7),
+        ]
+
+
+def test_oracle_imports_no_cover_or_classifier_code():
+    # the oracle is the independent side of every cross-check
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+            imported.update("." * node.level + a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    banned = {".cover", ".classify", "alcuin.cover", "alcuin.classify", "alcuin"}
+    assert not imported & banned, imported & banned
+
+
 class TestAlcuinExact:
     def test_path(self):
         c, sched = alcuin_exact(P3)
@@ -88,6 +157,16 @@ class TestAlcuinExact:
             beta = min_covers(g).beta
             c, _ = alcuin_exact(g)
             assert beta <= c <= beta + 1
+
+    def test_own_vertex_cover_number(self):
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                beta, _ = brute_min_covers(g)
+                assert oracle._vertex_cover_number(g.adj, g.full_mask) == beta
+
+    def test_budget_checked_before_beta(self):
+        with pytest.raises(BudgetExceededError):
+            alcuin_exact(gen.random_graph(64, 0.5, 3))
 
     def test_beta_hint_matches(self):
         for seed in range(10):
