@@ -17,13 +17,20 @@ from .classify import (
     FastPath,
     MultipleCovers,
     PairWitness,
-    SetWitness,
     classification_condition,
     classify,
+    classify_covers,
     exists_2x_witness,
     fast_paths,
 )
-from .cover import CoverReport, alpha, hall_strict, is_vertex_cover, min_covers
+from .cover import (
+    CoverReport,
+    alpha,
+    complete_covers,
+    hall_strict,
+    is_vertex_cover,
+    min_covers,
+)
 from .errors import BudgetExceededError
 from .graph import (
     Graph,
@@ -68,7 +75,6 @@ __all__ = [
     "PairWitness",
     "Schedule",
     "SearchResult",
-    "SetWitness",
     "StructureWitness",
     "Violation",
     "alcuin_exact",
@@ -77,6 +83,8 @@ __all__ = [
     "cartesian_product",
     "classification_condition",
     "classify",
+    "classify_covers",
+    "complete_covers",
     "exists_2x_witness",
     "fast_paths",
     "feasible",

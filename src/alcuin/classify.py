@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import check_minimum_cover, independent_subsets, min_covers
+from .cover import CoverReport, check_minimum_cover, complete_covers, independent_subsets
 from .cover import DEFAULT_ENUMERATION_LIMIT
-from .errors import BudgetExceededError
 from .graph import Graph, bits, is_claw_free
 
 CLASS_ONE = "one"
@@ -40,15 +39,6 @@ class PairWitness:
 
 
 @dataclass(frozen=True)
-class SetWitness:
-    """Nonempty independent a within the cover with at most 2|a| outside
-    neighbors; the s = t = a special case of PairWitness."""
-
-    cover: int
-    a: int
-
-
-@dataclass(frozen=True)
 class ConditionHolds:
     """Every candidate pair exceeds the bound: certifies class two."""
 
@@ -60,7 +50,7 @@ class Degenerate:
     """Empty graph; nothing to transport."""
 
 
-Reason = MultipleCovers | PairWitness | SetWitness | ConditionHolds | Degenerate
+Reason = MultipleCovers | PairWitness | ConditionHolds | Degenerate
 
 
 @dataclass(frozen=True)
@@ -87,6 +77,13 @@ def classification_condition(
     cover (S = T allowed).  Returns the first pair, ordered by |S|+|T|, then
     |S|, then the two masks, with |N(S) & N(T) outside C| <= |S| + |T|;
     ConditionHolds if no pair violates, which certifies class two.
+
+    The |S|+|T| = 2 round scans the singleton pairs {u}, {v} and records the
+    least common outside neighborhood among them, the floor.  Any S, T with
+    u in S and v in T share at least the common outside neighbors of u and
+    v, so no pair with |S|+|T| below the floor can be a witness, and the
+    scan resumes at the larger of 3 and the floor.  The first witness found
+    is the one the full scan would find.
     """
     if _validate:
         check_minimum_cover(g, cover)
@@ -95,7 +92,16 @@ def classification_condition(
     for size, mask, nbrs in subsets:
         by_size.setdefault(size, []).append((mask, nbrs))
     max_size = max(by_size) if by_size else 0
-    for total in range(2, 2 * max_size + 1):
+    singles = by_size.get(1, [])
+    floor = 2 * max_size + 1
+    for i, (u_mask, u_nbrs) in enumerate(singles):
+        for v_mask, v_nbrs in singles[i:]:
+            common = (u_nbrs & v_nbrs).bit_count()
+            if common <= 2:
+                return PairWitness(cover, u_mask, v_mask)
+            if common < floor:
+                floor = common
+    for total in range(max(3, floor), 2 * max_size + 1):
         for s_size in range(max(1, total - max_size), total // 2 + 1):
             t_size = total - s_size
             if s_size not in by_size or t_size not in by_size:
@@ -109,21 +115,17 @@ def classification_condition(
     return ConditionHolds(cover)
 
 
-def classify(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Classification:
-    """Verdict, Alcuin number and a machine-checkable reason.
+def classify_covers(g: Graph, report: CoverReport) -> Classification:
+    """Verdict, Alcuin number and reason from the complete cover report of g.
 
-    Degenerate n=0 graphs get c=0.  Two or more minimum covers settle class
-    one immediately; otherwise the condition on the unique cover decides.
-    Edgeless graphs (beta=0, unique cover is empty) come out class two with
-    c=1, matching the search oracle.
+    For callers that need the covers as well as the verdict: the enumeration
+    is the costly step, and this runs it once where min_covers followed by
+    classify would run it twice.
     """
     if g.n == 0:
         return Classification(CLASS_ONE, 0, Degenerate())
-    report = min_covers(g, cover_limit)
     if not report.complete:
-        raise BudgetExceededError(
-            f"cover enumeration for n={g.n} exceeds the limit {cover_limit}"
-        )
+        raise ValueError("classification needs every minimum cover")
     beta = report.beta
     if len(report.covers) >= 2:
         return Classification(
@@ -133,6 +135,20 @@ def classify(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Classifi
     if isinstance(outcome, ConditionHolds):
         return Classification(CLASS_TWO, beta + 1, outcome)
     return Classification(CLASS_ONE, beta, outcome)
+
+
+def classify(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Classification:
+    """Verdict, Alcuin number and a machine-checkable reason.
+
+    Degenerate n=0 graphs get c=0.  Two or more minimum covers settle class
+    one immediately; otherwise the condition on the unique cover decides.
+    Edgeless graphs (beta=0, unique cover is empty) come out class two with
+    c=1, matching the search oracle.  Raises BudgetExceededError above the
+    cover enumeration limit.
+    """
+    if g.n == 0:  # ahead of the budget check: nothing to enumerate at any limit
+        return Classification(CLASS_ONE, 0, Degenerate())
+    return classify_covers(g, complete_covers(g, cover_limit))
 
 
 def exists_2x_witness(g: Graph, cover: int) -> int | None:

@@ -16,8 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Iterable
 
 from . import generators, io, oracle
-from .classify import CLASS_TWO, classify, exists_2x_witness
-from .cover import hall_strict, min_covers
+from .classify import CLASS_TWO, classify_covers, exists_2x_witness
+from .cover import complete_covers, hall_strict
 from .errors import BudgetExceededError
 from .graph import Graph, bits, cartesian_product, girth, is_claw_free
 from .schedule import Schedule, render_trace, synthesize, verify_schedule
@@ -97,17 +97,16 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
-        covers = min_covers(g, args.cover_limit)
-        cls = classify(g, args.cover_limit)
+        covers = complete_covers(g, args.cover_limit)
     except BudgetExceededError as exc:
         raise _CliError(EXIT_BUDGET, str(exc)) from None
-    report = io.build_report(g, cls, covers)
+    report = io.build_report(g, classify_covers(g, covers), covers)
     if args.human:
         width = max(len(k) for k in report)
         for key, value in report.items():
             print(f"{key:<{width}}  {json.dumps(value)}")
     else:
-        print(io.report_json(g, cls, covers))
+        print(json.dumps(report))
     return EXIT_OK
 
 
@@ -177,8 +176,8 @@ _VIOLATION_KEYS = (
 
 def _graph_record(g: Graph, with_oracle: bool) -> dict[str, Any]:
     """Classify one graph and collect falsification counters."""
-    covers = min_covers(g)
-    cls = classify(g)
+    covers = complete_covers(g)
+    cls = classify_covers(g, covers)
     record: dict[str, Any] = {
         "class_two": cls.verdict == CLASS_TWO,
         "disagree": False,

@@ -1,14 +1,16 @@
 """Exact independence and vertex-cover computations.
 
-alpha() runs a branch-and-bound maximum-independent-set search; min_covers()
-independently enumerates every maximum independent set and complements, so the
-two routes cross-check each other through the alpha + beta = n identity.
+alpha() runs a branch-and-bound maximum-independent-set search.  min_covers()
+enumerates every maximum independent set per connected component, with its
+own size bound and without consulting alpha(), and complements them; the two
+routes therefore cross-check each other through the alpha + beta = n identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import BudgetExceededError
 from .graph import Graph, bits, vertices_of
 
 DEFAULT_ENUMERATION_LIMIT = 16
@@ -73,29 +75,58 @@ def alpha(g: Graph) -> int:
     return _alpha_search(g)[0]
 
 
-def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
-    """(alpha, every maximum independent set) by exhaustive enumeration."""
-    n, adj = g.n, g.adj
+def _component_mis(adj: tuple[int, ...], comp: int) -> tuple[int, list[int]]:
+    """(alpha, every maximum independent set) of the subgraph induced on comp.
+
+    Include-first DFS on the lowest candidate vertex, where the candidates
+    are the undecided vertices with no neighbor in the chosen set.  A branch
+    is cut once even taking every candidate stays below the best size seen;
+    sets that tie the best are kept, so every maximum set is reported once.
+    """
     best = -1
     found: list[int] = []
 
-    def rec(v: int, mask: int, size: int) -> None:
+    def rec(cand: int, chosen: int, size: int) -> None:
         nonlocal best, found
-        if size + (n - v) < best:
+        if size + cand.bit_count() < best:
             return
-        if v == n:
+        if not cand:
             if size > best:
-                best = size
-                found = [mask]
-            elif size == best:
-                found.append(mask)
+                best, found = size, [chosen]
+            else:
+                found.append(chosen)
             return
-        rec(v + 1, mask, size)
-        if not adj[v] & mask:
-            rec(v + 1, mask | (1 << v), size + 1)
+        bit = cand & -cand
+        rec(cand & ~(adj[bit.bit_length() - 1] | bit), chosen | bit, size + 1)
+        rec(cand ^ bit, chosen, size)
 
-    rec(0, 0, 0)
+    rec(comp, 0, 0)
     return best, found
+
+
+def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
+    """(alpha, every maximum independent set), one connected component at a time.
+
+    A maximum independent set is a union of one maximum set per component,
+    so alpha is the sum of the component alphas and the sets are every
+    combination of the component sets.
+    """
+    adj = g.adj
+    rest = g.full_mask
+    total, sets = 0, [0]
+    while rest:
+        comp = frontier = rest & -rest
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & ~comp
+            comp |= frontier
+        rest ^= comp
+        size, found = _component_mis(adj, comp)
+        total += size
+        sets = [a | b for a in sets for b in found]
+    return total, sets
 
 
 def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
@@ -111,6 +142,19 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
     a, sets = _maximum_independent_sets(g)
     covers = tuple(sorted(full ^ s for s in sets))
     return CoverReport(g.n - a, covers, unique=len(covers) == 1, complete=True)
+
+
+def complete_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
+    """min_covers, raising BudgetExceededError where it would degrade.
+
+    Checks the budget before any search: the degraded witness min_covers
+    would compute is of no use to a caller that needs every cover.
+    """
+    if g.n > full_limit:
+        raise BudgetExceededError(
+            f"cover enumeration for n={g.n} exceeds the limit {full_limit}"
+        )
+    return min_covers(g, full_limit)
 
 
 def is_vertex_cover(g: Graph, mask: int) -> bool:

@@ -16,7 +16,6 @@ from .classify import (
     Degenerate,
     MultipleCovers,
     PairWitness,
-    SetWitness,
 )
 from .cover import CoverReport
 from .graph import MAX_VERTICES, Graph, girth, is_claw_free, is_regular, vertices_of
@@ -179,8 +178,6 @@ def _witness_fields(reason: Any) -> dict[str, Any]:
             "s": vertices_of(reason.s),
             "t": vertices_of(reason.t),
         }
-    if isinstance(reason, SetWitness):
-        return {"cover": vertices_of(reason.cover), "a": vertices_of(reason.a)}
     if isinstance(reason, ConditionHolds):
         return {"cover": vertices_of(reason.cover)}
     return {}
@@ -189,7 +186,6 @@ def _witness_fields(reason: Any) -> dict[str, Any]:
 _REASON_KINDS = {
     MultipleCovers: "multiple_covers",
     PairWitness: "pair_witness",
-    SetWitness: "set_witness",
     ConditionHolds: "condition_holds",
     Degenerate: "degenerate",
 }

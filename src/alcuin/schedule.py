@@ -17,9 +17,9 @@ from .classify import (
     CLASS_TWO,
     PairWitness,
     classification_condition,
-    classify,
+    classify_covers,
 )
-from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, min_covers
+from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, complete_covers
 from .errors import BudgetExceededError
 from .graph import Graph, bits, is_independent, mask_of, neighbors_in, vertices_of
 
@@ -214,10 +214,10 @@ def synthesize(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Schedu
     construction at beta, fetching a witness from the condition when the
     classification short-circuited on multiple covers.
     """
-    cls = classify(g, cover_limit)
     if g.n == 0:
         return Schedule(0, ())
-    report = min_covers(g, cover_limit)
+    report = complete_covers(g, cover_limit)
+    cls = classify_covers(g, report)
     if cls.verdict == CLASS_TWO:
         return schedule_generic(g, report.covers[0], validate=False)
     if isinstance(cls.reason, PairWitness):

@@ -90,3 +90,65 @@ def brute_cargo_choices(adj: tuple[int, ...], bank: int, b: int) -> list[int]:
             break
         sub = (sub - 1) & bank
     return [sub for _, sub in sorted(out)]
+
+
+def brute_maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
+    """(alpha, every maximum independent set) by one vertex-order DFS over
+    the whole graph, cut only when the vertices left cannot reach the best
+    size seen."""
+    n, adj = g.n, g.adj
+    best = -1
+    found: list[int] = []
+
+    def rec(v: int, mask: int, size: int) -> None:
+        nonlocal best, found
+        if size + (n - v) < best:
+            return
+        if v == n:
+            if size > best:
+                best = size
+                found = [mask]
+            elif size == best:
+                found.append(mask)
+            return
+        rec(v + 1, mask, size)
+        if not adj[v] & mask:
+            rec(v + 1, mask | (1 << v), size + 1)
+
+    rec(0, 0, 0)
+    return best, found
+
+
+def brute_classification_condition(g: Graph, cover: int) -> tuple[int, int] | None:
+    """First (s, t) of the unbounded pair scan, or None when no pair violates.
+
+    Every unordered pair of nonempty independent subsets S, T of the cover
+    (S = T allowed), in order of |S|+|T|, then |S|, then the masks; a pair
+    violates when S and T have at most |S|+|T| common neighbors outside the
+    cover.
+    """
+    outside = g.full_mask & ~cover
+    by_size: dict[int, list[tuple[int, int]]] = {}
+    sub = cover
+    while sub:
+        if is_independent(g, sub):
+            nbrs = 0
+            for v in bits(sub):
+                nbrs |= g.adj[v]
+            by_size.setdefault(sub.bit_count(), []).append((sub, nbrs & outside))
+        sub = (sub - 1) & cover
+    for subsets in by_size.values():
+        subsets.sort()
+    max_size = max(by_size, default=0)
+    for total in range(2, 2 * max_size + 1):
+        for s_size in range(max(1, total - max_size), total // 2 + 1):
+            t_size = total - s_size
+            if s_size not in by_size or t_size not in by_size:
+                continue
+            for s_mask, s_nbrs in by_size[s_size]:
+                for t_mask, t_nbrs in by_size[t_size]:
+                    if s_size == t_size and t_mask < s_mask:
+                        continue
+                    if (s_nbrs & t_nbrs).bit_count() <= total:
+                        return s_mask, t_mask
+    return None

@@ -15,11 +15,14 @@ from alcuin import (
     PairWitness,
     classification_condition,
     classify,
+    classify_covers,
     exists_2x_witness,
     fast_paths,
     mask_of,
+    min_covers,
 )
 from alcuin import generators as gen
+from brute import brute_classification_condition
 
 
 class TestConditionOnUniqueCovers:
@@ -97,9 +100,54 @@ class TestClassify:
             assert beta <= cls.c <= beta + 1
 
     def test_budget_propagates(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match=r"^cover enumeration for n=18 exceeds the limit 16$"):
             classify(gen.random_graph(18, 0.3, 1))
         assert classify(gen.random_graph(18, 0.3, 1), cover_limit=18).c >= 1
+
+
+class TestPairScanFloor:
+    @staticmethod
+    def assert_matches_reference(g):
+        for cover in min_covers(g, 64).covers:
+            ref = brute_classification_condition(g, cover)
+            expected = ConditionHolds(cover) if ref is None else PairWitness(cover, *ref)
+            assert classification_condition(g, cover) == expected
+
+    def test_every_cover_up_to_six_vertices(self):
+        for n in range(7):
+            for g in gen.all_labeled_graphs(n):
+                self.assert_matches_reference(g)
+
+    def test_families(self):
+        for a in range(1, 5):
+            for b in range(1, 10):
+                self.assert_matches_reference(gen.complete_bipartite(a, b))
+        for k in range(1, 12):
+            self.assert_matches_reference(gen.star(k))
+        for d in (3, 4):
+            self.assert_matches_reference(gen.hypercube(d))
+
+
+class TestClassifyCovers:
+    def test_rejects_incomplete_report(self):
+        g = gen.random_graph(18, 0.3, 1)
+        with pytest.raises(ValueError):
+            classify_covers(g, min_covers(g))
+
+
+class TestCliffs:
+    """Graphs that once took seconds; results only, no timing."""
+
+    def test_q6_two_covers(self):
+        cls = classify(gen.hypercube(6), 64)
+        assert cls.verdict == CLASS_ONE and cls.c == 32
+        assert cls.reason == MultipleCovers(0x6996966996696996, 0x9669699669969669)
+
+    def test_k11_23_class_two(self):
+        g = gen.complete_bipartite(11, 23)
+        cls = classify(g, 64)
+        assert cls.verdict == CLASS_TWO and cls.c == 12
+        assert cls.reason == ConditionHolds(mask_of(range(11)))
 
 
 class TestExists2xWitness:

@@ -1,15 +1,40 @@
+import random
+
 import pytest
 
 from alcuin import (
+    BudgetExceededError,
+    Graph,
     alpha,
+    complete_covers,
     hall_strict,
     is_vertex_cover,
     mask_of,
     min_covers,
 )
 from alcuin import generators as gen
-from alcuin.cover import independent_subsets
-from brute import brute_alpha, brute_min_covers
+from alcuin.cover import _maximum_independent_sets, independent_subsets
+from brute import brute_alpha, brute_maximum_independent_sets, brute_min_covers
+
+
+def matching(m: int) -> Graph:
+    return Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+def random_union(seed: int, n: int) -> Graph:
+    """Disjoint union of small G(k, p) pieces on n shuffled vertex labels,
+    so components interleave in vertex order."""
+    rng = random.Random(seed)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges = []
+    start = 0
+    while start < n:
+        k = min(rng.randint(1, 6), n - start)
+        piece = gen.random_graph(k, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(64))
+        edges += [(labels[start + u], labels[start + v]) for u, v in piece.edges()]
+        start += k
+    return Graph.from_edges(n, edges)
 
 
 class TestAlpha:
@@ -91,6 +116,49 @@ class TestMinCovers:
     def test_gallai_identity(self):
         for g in gen.all_labeled_graphs(5):
             assert alpha(g) + min_covers(g).beta == g.n
+
+
+class TestMaximumIndependentSets:
+    @staticmethod
+    def assert_matches_reference(g):
+        a, sets = _maximum_independent_sets(g)
+        ref_a, ref_sets = brute_maximum_independent_sets(g)
+        assert (a, sorted(sets)) == (ref_a, sorted(ref_sets))
+
+    def test_every_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for g in gen.all_labeled_graphs(n):
+                self.assert_matches_reference(g)
+
+    def test_matchings_and_isolated_vertices(self):
+        for m in range(1, 11):
+            self.assert_matches_reference(matching(m))
+        for n in (1, 7, 20):
+            self.assert_matches_reference(gen.edgeless(n))
+        # a matching padded with isolated vertices
+        self.assert_matches_reference(Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(7)]))
+
+    def test_random_unions_of_components(self):
+        for seed in range(40):
+            self.assert_matches_reference(random_union(seed, 12 + seed % 9))
+
+    def test_matching16_cover_count_and_order(self):
+        rep = min_covers(matching(16), 64)
+        assert rep.complete and rep.beta == 16 and len(rep.covers) == 65536
+        # every even vertex, then vertex 1 in place of vertex 0
+        assert rep.covers[0] == 0x55555555
+        assert rep.covers[1] == 0x55555556
+
+
+class TestCompleteCovers:
+    def test_same_report_as_min_covers_within_budget(self):
+        for g in gen.all_labeled_graphs(4):
+            assert complete_covers(g) == min_covers(g)
+
+    def test_raises_above_budget(self):
+        with pytest.raises(BudgetExceededError, match="n=18 exceeds the limit 16"):
+            complete_covers(gen.random_graph(18, 0.3, 5))
+        assert complete_covers(gen.random_graph(18, 0.3, 5), 18).complete
 
 
 class TestIndependentSubsets:

@@ -5,6 +5,7 @@ import pytest
 from alcuin import Graph, Move, Schedule, classify, min_covers
 from alcuin import generators as gen
 from alcuin.io import (
+    _REASON_KINDS,
     FormatError,
     build_report,
     parse_edge_list,
@@ -212,3 +213,11 @@ class TestReport:
         doc = self._report(gen.star(2))
         assert doc["reason"] == "pair_witness"
         assert doc["witness"] == {"cover": [0], "s": [0], "t": [0]}
+
+    def test_reason_kinds_are_the_constructible_four(self):
+        assert sorted(_REASON_KINDS.values()) == [
+            "condition_holds",
+            "degenerate",
+            "multiple_covers",
+            "pair_witness",
+        ]
