@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CoverReport, check_minimum_cover, complete_covers, independent_subsets
+from .cover import CoverReport, check_minimum_cover, complete_covers, independent_levels
 from .cover import DEFAULT_ENUMERATION_LIMIT
 from .graph import Graph, bits, is_claw_free
 
@@ -60,14 +60,6 @@ class Classification:
     reason: Reason
 
 
-def _outside_subsets(g: Graph, cover: int) -> list[tuple[int, int, int]]:
-    """Nonempty independent subsets of cover as (size, mask, outside_nbrs)."""
-    outside = g.full_mask & ~cover
-    return sorted(
-        (m.bit_count(), m, nb & outside) for m, nb in independent_subsets(g, cover) if m
-    )
-
-
 def classification_condition(
     g: Graph, cover: int, _validate: bool = True
 ) -> ConditionHolds | PairWitness:
@@ -84,15 +76,22 @@ def classification_condition(
     v, so no pair with |S|+|T| below the floor can be a witness, and the
     scan resumes at the larger of 3 and the floor.  The first witness found
     is the one the full scan would find.
+
+    Subsets of each size are built on demand, the first time the scan
+    reaches a total that pairs them.  Until an empty size proves the real
+    bound, |C| bounds the largest subset, so a floor above 2|C| ends the
+    scan after the singleton round.
     """
     if _validate:
         check_minimum_cover(g, cover)
-    subsets = _outside_subsets(g, cover)
-    by_size: dict[int, list[tuple[int, int]]] = {}
-    for size, mask, nbrs in subsets:
-        by_size.setdefault(size, []).append((mask, nbrs))
-    max_size = max(by_size) if by_size else 0
-    singles = by_size.get(1, [])
+    outside = g.full_mask & ~cover
+    levels = (
+        [(mask, nbrs & outside) for mask, nbrs in level]
+        for level in independent_levels(g, cover)
+    )
+    max_size = cover.bit_count()
+    singles = next(levels, [])
+    by_size = [[], singles]  # by_size[k]: k-subsets as (mask, outside nbrs)
     floor = 2 * max_size + 1
     for i, (u_mask, u_nbrs) in enumerate(singles):
         for v_mask, v_nbrs in singles[i:]:
@@ -101,10 +100,17 @@ def classification_condition(
                 return PairWitness(cover, u_mask, v_mask)
             if common < floor:
                 floor = common
-    for total in range(max(3, floor), 2 * max_size + 1):
+    total = max(3, floor)
+    while total <= 2 * max_size:
         for s_size in range(max(1, total - max_size), total // 2 + 1):
             t_size = total - s_size
-            if s_size not in by_size or t_size not in by_size:
+            while len(by_size) <= min(t_size, max_size):
+                level = next(levels, None)
+                if level is None:
+                    max_size = len(by_size) - 1
+                else:
+                    by_size.append(level)
+            if t_size > max_size:
                 continue
             for s_mask, s_nbrs in by_size[s_size]:
                 for t_mask, t_nbrs in by_size[t_size]:
@@ -112,6 +118,7 @@ def classification_condition(
                         continue
                     if (s_nbrs & t_nbrs).bit_count() <= total:
                         return PairWitness(cover, s_mask, t_mask)
+        total += 1
     return ConditionHolds(cover)
 
 
@@ -158,9 +165,11 @@ def exists_2x_witness(g: Graph, cover: int) -> int | None:
     Such an A certifies class one; it is exactly a PairWitness with S = T.
     """
     check_minimum_cover(g, cover)
-    for size, mask, nbrs in _outside_subsets(g, cover):
-        if nbrs.bit_count() <= 2 * size:
-            return mask
+    outside = g.full_mask & ~cover
+    for size, level in enumerate(independent_levels(g, cover), 1):
+        for mask, nbrs in level:
+            if (nbrs & outside).bit_count() <= 2 * size:
+                return mask
     return None
 
 

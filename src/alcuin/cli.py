@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
 from . import generators, io, oracle
 from .classify import CLASS_TWO, classify_covers, exists_2x_witness
@@ -86,6 +86,21 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     except (io.FormatError, OSError, ValueError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read graph: {exc}") from None
     return _gen_spec(args.gen)
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """argparse type: an integer no smaller than low (a usage error, exit 2)."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
@@ -339,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full invariant and classification report")
     _add_graph_arguments(p)
     p.add_argument("--human", action="store_true", help="table instead of JSON")
-    p.add_argument("--cover-limit", type=int, default=16, help="cover enumeration budget")
+    p.add_argument(
+        "--cover-limit", type=_int_at_least(0), default=16, help="cover enumeration budget"
+    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("schedule", help="synthesize or search a ferry schedule")
@@ -348,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shortest", action="store_true", help="BFS shortest schedule")
     p.add_argument("--trace", action="store_true", help="render a crossing table")
     p.add_argument("--labels", help="comma-separated vertex labels for --trace")
-    p.add_argument("--cover-limit", type=int, default=16)
+    p.add_argument("--cover-limit", type=_int_at_least(0), default=16)
     p.add_argument(
         "--search-limit",
-        type=int,
+        type=_int_at_least(0),
         default=oracle.DEFAULT_SEARCH_LIMIT,
         help="oracle vertex budget",
     )
@@ -363,9 +380,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("survey", help="exhaustive classifier/oracle cross-check")
-    p.add_argument("--max-n", type=int, default=4, help="enumerate all graphs up to this n")
+    p.add_argument(
+        "--max-n", type=_int_at_least(0), default=4, help="enumerate all graphs up to this n"
+    )
     p.add_argument("--stdin-graph6", action="store_true", help="read graph6 lines from stdin")
-    p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, help="parallel worker processes")
     p.set_defaults(func=_cmd_survey)
 
     p = sub.add_parser("generate", help="emit a graph family as graph6")

@@ -4,11 +4,15 @@ alpha() runs a branch-and-bound maximum-independent-set search.  min_covers()
 enumerates every maximum independent set per connected component, with its
 own size bound and without consulting alpha(), and complements them; the two
 routes therefore cross-check each other through the alpha + beta = n identity.
+independent_levels() lists the independent subsets of a cover one size at a
+time, building each size only when its caller asks for it, so the pair scan
+and the expansion tests stop without building sizes they never read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import BudgetExceededError
 from .graph import Graph, bits, vertices_of
@@ -176,27 +180,30 @@ def check_minimum_cover(g: Graph, mask: int) -> None:
         raise ValueError("vertex cover is not minimum")
 
 
-def independent_subsets(g: Graph, base: int) -> list[tuple[int, int]]:
-    """All independent subsets of base as (subset, neighborhood) mask pairs.
+def independent_levels(g: Graph, base: int) -> Iterator[list[tuple[int, int]]]:
+    """Nonempty independent subsets of base, one size at a time.
 
-    Includes the empty set; neighborhoods are unions of adjacency masks,
-    unrestricted (intersect with a bank mask at the call site).
+    The k-th list yielded holds every independent k-subset of base as a
+    (subset, neighborhood) mask pair, ascending by subset; neighborhoods are
+    unions of adjacency masks, unrestricted (intersect with a bank mask at
+    the call site).  Level k+1 extends each set of level k by every base
+    vertex below its lowest one that has no neighbor in it, which keeps the
+    level ascending without a sort.  A level is built only when the caller
+    asks for it, and iteration ends before the first empty level, so a
+    caller that stops early never pays for the larger sets.
     """
     adj = g.adj
-    vs = vertices_of(base)
-    out: list[tuple[int, int]] = []
-
-    def rec(i: int, mask: int, nbrs: int) -> None:
-        if i == len(vs):
-            out.append((mask, nbrs))
-            return
-        v = vs[i]
-        rec(i + 1, mask, nbrs)
-        if not adj[v] & mask:
-            rec(i + 1, mask | (1 << v), nbrs | adj[v])
-
-    rec(0, 0, 0)
-    return out
+    level = [(1 << v, adj[v]) for v in vertices_of(base)]
+    while level:
+        yield level
+        nxt = []
+        for mask, nbrs in level:
+            free = base & ((mask & -mask) - 1) & ~nbrs
+            while free:
+                low = free & -free
+                nxt.append((mask | low, nbrs | adj[low.bit_length() - 1]))
+                free ^= low
+        level = nxt
 
 
 def hall_strict(g: Graph, cover: int) -> bool:
@@ -208,7 +215,8 @@ def hall_strict(g: Graph, cover: int) -> bool:
     """
     check_minimum_cover(g, cover)
     outside = g.full_mask & ~cover
-    for mask, nbrs in independent_subsets(g, cover):
-        if mask and (nbrs & outside).bit_count() <= mask.bit_count():
-            return False
+    for size, level in enumerate(independent_levels(g, cover), 1):
+        for _, nbrs in level:
+            if (nbrs & outside).bit_count() <= size:
+                return False
     return True

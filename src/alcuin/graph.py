@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, count
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -25,12 +25,24 @@ def mask_of(vertices: Iterable[int]) -> int:
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Ascending list of the vertices in a bitmask."""
-    return list(bits(mask))
+    """Ascending list of the vertices in a bitmask; ValueError if negative.
+
+    Reads the binary digits, least significant first, with each "0" made a
+    false byte, so compress keeps the positions of the ones.
+    """
+    if mask < 0:
+        raise ValueError(f"negative vertex mask {mask}")
+    return list(compress(count(), bin(mask)[:1:-1].encode().replace(b"0", b"\0")))
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Iterate the set bit positions of a mask in ascending order."""
+    """Iterate the set bit positions of a mask in ascending order.
+
+    A negative mask has no highest bit and would never run out; it raises
+    ValueError when iteration starts.
+    """
+    if mask < 0:
+        raise ValueError(f"negative vertex mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

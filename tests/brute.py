@@ -119,6 +119,41 @@ def brute_maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
     return best, found
 
 
+def brute_independent_subsets(g: Graph, base: int) -> list[tuple[int, int, int]]:
+    """Nonempty independent subsets of base as (size, subset, neighborhood),
+    ascending, by walking every submask of base."""
+    out = []
+    sub = base
+    while sub:
+        if is_independent(g, sub):
+            nbrs = 0
+            for v in bits(sub):
+                nbrs |= g.adj[v]
+            out.append((sub.bit_count(), sub, nbrs))
+        sub = (sub - 1) & base
+    return sorted(out)
+
+
+def brute_exists_2x_witness(g: Graph, cover: int) -> int | None:
+    """First nonempty independent A within the cover, by size then mask,
+    with at most 2|A| neighbors outside the cover."""
+    outside = g.full_mask & ~cover
+    for size, sub, nbrs in brute_independent_subsets(g, cover):
+        if (nbrs & outside).bit_count() <= 2 * size:
+            return sub
+    return None
+
+
+def brute_hall_strict(g: Graph, cover: int) -> bool:
+    """Every nonempty independent A within the cover has more than |A|
+    neighbors outside the cover."""
+    outside = g.full_mask & ~cover
+    return all(
+        (nbrs & outside).bit_count() > size
+        for size, _, nbrs in brute_independent_subsets(g, cover)
+    )
+
+
 def brute_classification_condition(g: Graph, cover: int) -> tuple[int, int] | None:
     """First (s, t) of the unbounded pair scan, or None when no pair violates.
 
@@ -129,16 +164,8 @@ def brute_classification_condition(g: Graph, cover: int) -> tuple[int, int] | No
     """
     outside = g.full_mask & ~cover
     by_size: dict[int, list[tuple[int, int]]] = {}
-    sub = cover
-    while sub:
-        if is_independent(g, sub):
-            nbrs = 0
-            for v in bits(sub):
-                nbrs |= g.adj[v]
-            by_size.setdefault(sub.bit_count(), []).append((sub, nbrs & outside))
-        sub = (sub - 1) & cover
-    for subsets in by_size.values():
-        subsets.sort()
+    for size, sub, nbrs in brute_independent_subsets(g, cover):
+        by_size.setdefault(size, []).append((sub, nbrs & outside))
     max_size = max(by_size, default=0)
     for total in range(2, 2 * max_size + 1):
         for s_size in range(max(1, total - max_size), total // 2 + 1):

@@ -18,11 +18,12 @@ from alcuin import (
     classify_covers,
     exists_2x_witness,
     fast_paths,
+    hall_strict,
     mask_of,
     min_covers,
 )
 from alcuin import generators as gen
-from brute import brute_classification_condition
+from brute import brute_classification_condition, brute_exists_2x_witness, brute_hall_strict
 
 
 class TestConditionOnUniqueCovers:
@@ -122,10 +123,50 @@ class TestPairScanFloor:
         for a in range(1, 5):
             for b in range(1, 10):
                 self.assert_matches_reference(gen.complete_bipartite(a, b))
+        for a in range(2, 6):
+            for b in range(a + 1, 10):
+                # an edge inside the cover caps its independent subsets below
+                # |C|, a bound the scan only learns when a level comes up empty
+                g = gen.complete_bipartite(a, b)
+                self.assert_matches_reference(Graph.from_edges(g.n, g.edges() + [(0, 1)]))
         for k in range(1, 12):
             self.assert_matches_reference(gen.star(k))
         for d in (3, 4):
             self.assert_matches_reference(gen.hypercube(d))
+
+    # (n, p, seed) of G(n, p) graphs with a unique cover and no singleton-pair
+    # witness: the reference answer is a pair with |S| + |T| >= 3, or none.
+    PAST_SINGLETONS = (
+        (8, 0.15, 2119), (8, 0.18, 33), (8, 0.18, 609),
+        (9, 0.12, 1133), (9, 0.3, 639),
+        (10, 0.12, 1334), (10, 0.18, 588),
+        (11, 0.1, 3143), (11, 0.15, 117),
+        (12, 0.1, 4055), (12, 0.12, 1969),
+        (13, 0.1, 3888),
+        (14, 0.08, 19612), (14, 0.1, 16001),
+    )
+
+    def test_random_graphs_past_singletons(self):
+        outcomes = set()
+        for n, p, seed in self.PAST_SINGLETONS:
+            g = gen.random_graph(n, p, seed)
+            rep = min_covers(g, 64)
+            assert rep.unique
+            cover = rep.covers[0]
+            ref = brute_classification_condition(g, cover)
+            assert ref is None or ref[0].bit_count() + ref[1].bit_count() >= 3
+            outcomes.add(None if ref is None else (ref[0].bit_count(), ref[1].bit_count()))
+            self.assert_matches_reference(g)
+            assert exists_2x_witness(g, cover) == brute_exists_2x_witness(g, cover)
+            assert hall_strict(g, cover) == brute_hall_strict(g, cover)
+        assert outcomes == {None, (1, 2), (2, 2)}
+
+    def test_witness_walks_on_every_cover(self):
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                for cover in min_covers(g).covers:
+                    assert exists_2x_witness(g, cover) == brute_exists_2x_witness(g, cover)
+                    assert hall_strict(g, cover) == brute_hall_strict(g, cover)
 
 
 class TestClassifyCovers:

@@ -228,6 +228,31 @@ class TestGenerate:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--gen", "star:3", "--cover-limit", "-1"],
+        ["schedule", "--gen", "star:3", "--cover-limit", "-1"],
+        ["schedule", "--gen", "star:3", "--shortest", "--search-limit", "-1"],
+        ["survey", "--max-n", "-1"],
+        ["survey", "--max-n", "2", "--jobs", "0"],
+        ["survey", "--max-n", "2", "--jobs", "-2"],
+    ],
+)
+def test_out_of_range_numbers_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be at least" in capsys.readouterr().err
+
+
+def test_zero_limits_are_accepted(capsys):
+    code, _, err = run(capsys, "analyze", "--gen", "star:3", "--cover-limit", "0")
+    assert code == 3 and "exceeds the limit 0" in err
+    code, _, _ = run(capsys, "survey", "--max-n", "0")
+    assert code == 0
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

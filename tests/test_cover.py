@@ -13,8 +13,14 @@ from alcuin import (
     min_covers,
 )
 from alcuin import generators as gen
-from alcuin.cover import _maximum_independent_sets, independent_subsets
-from brute import brute_alpha, brute_maximum_independent_sets, brute_min_covers
+from alcuin.cover import _maximum_independent_sets, independent_levels
+from brute import (
+    brute_alpha,
+    brute_hall_strict,
+    brute_independent_subsets,
+    brute_maximum_independent_sets,
+    brute_min_covers,
+)
 
 
 def matching(m: int) -> Graph:
@@ -163,13 +169,30 @@ class TestCompleteCovers:
 
 class TestIndependentSubsets:
     def test_triangle(self):
-        subs = independent_subsets(gen.complete(3), 0b111)
-        assert sorted(m for m, _ in subs) == [0, 1, 2, 4]
+        levels = list(independent_levels(gen.complete(3), 0b111))
+        assert [[m for m, _ in level] for level in levels] == [[1, 2, 4]]
 
     def test_neighborhoods_are_unions(self):
         g = gen.path(4)
-        subs = dict(independent_subsets(g, g.full_mask))
+        subs = dict(pair for level in independent_levels(g, g.full_mask) for pair in level)
         assert subs[mask_of([0, 2])] == g.adj[0] | g.adj[2]
+
+    def test_levels_match_subset_walk(self):
+        rng = random.Random(11)
+        graphs = [g for n in range(6) for g in gen.all_labeled_graphs(n)]
+        graphs += [gen.random_graph(12, rng.choice((0.1, 0.3, 0.6)), s) for s in range(30)]
+        for g in graphs:
+            for base in (g.full_mask, rng.getrandbits(g.n)):
+                levels = list(independent_levels(g, base))
+                got = [(k, m, nb) for k, level in enumerate(levels, 1) for m, nb in level]
+                assert got == brute_independent_subsets(g, base)
+                assert all(levels)
+
+    def test_builds_one_level_per_request(self):
+        # 2^64 independent subsets in all: only a lazy generator gets past the first two
+        levels = independent_levels(gen.edgeless(64), (1 << 64) - 1)
+        assert len(next(levels)) == 64
+        assert len(next(levels)) == 64 * 63 // 2
 
 
 class TestHallStrict:
@@ -200,4 +223,4 @@ class TestHallStrict:
             for g in gen.all_labeled_graphs(n):
                 rep = min_covers(g)
                 for c in rep.covers:
-                    assert hall_strict(g, c) == rep.unique
+                    assert hall_strict(g, c) == rep.unique == brute_hall_strict(g, c)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from alcuin import (
@@ -21,6 +23,25 @@ def test_mask_helpers_roundtrip():
     assert mask_of([0, 3, 5]) == 0b101001
     assert vertices_of(0b101001) == [0, 3, 5]
     assert list(bits(0)) == []
+
+
+def test_vertices_of_matches_a_bit_loop():
+    def plain(mask):
+        return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+    rng = random.Random(5)
+    masks = [0, 1, 1 << 63, (1 << 64) - 1, 1 << 64, (1 << 64) + 5, (1 << 100) - 1]
+    masks += [rng.getrandbits(rng.choice((8, 32, 64, 80))) for _ in range(200)]
+    for mask in masks:
+        assert vertices_of(mask) == plain(mask) == list(bits(mask))
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 64)])
+def test_negative_masks_rejected(mask):
+    with pytest.raises(ValueError, match="negative"):
+        vertices_of(mask)
+    with pytest.raises(ValueError, match="negative"):
+        list(bits(mask))
 
 
 class TestGraphConstruction:

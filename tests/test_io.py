@@ -143,6 +143,10 @@ class TestScheduleJson:
         sched = Schedule(2, (Move(LEFT_TO_RIGHT, 0b101),))
         assert schedule_json(sched) == schedule_json(sched)
 
+    def test_negative_cargo_mask_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            schedule_json(Schedule(1, (Move(LEFT_TO_RIGHT, -2),)))
+
     @pytest.mark.parametrize(
         "doc",
         [
