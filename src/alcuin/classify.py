@@ -60,15 +60,22 @@ class Classification:
     reason: Reason
 
 
-def classification_condition(
-    g: Graph, cover: int, _validate: bool = True
-) -> ConditionHolds | PairWitness:
+def classification_condition(g: Graph, cover: int) -> ConditionHolds | PairWitness:
     """Exhaustive common-neighborhood test over a minimum cover.
 
     Scans every unordered pair of nonempty independent subsets S, T of the
     cover (S = T allowed).  Returns the first pair, ordered by |S|+|T|, then
     |S|, then the two masks, with |N(S) & N(T) outside C| <= |S| + |T|;
-    ConditionHolds if no pair violates, which certifies class two.
+    ConditionHolds if no pair violates, which certifies class two (when the
+    cover is the only minimum one).  Raises ValueError unless cover is a
+    minimum vertex cover of g.
+    """
+    check_minimum_cover(g, cover)
+    return _pair_scan(g, cover)
+
+
+def _pair_scan(g: Graph, cover: int) -> ConditionHolds | PairWitness:
+    """classification_condition on a cover the caller knows to be minimum.
 
     The |S|+|T| = 2 round scans the singleton pairs {u}, {v} and records the
     least common outside neighborhood among them, the floor.  Any S, T with
@@ -82,8 +89,6 @@ def classification_condition(
     bound, |C| bounds the largest subset, so a floor above 2|C| ends the
     scan after the singleton round.
     """
-    if _validate:
-        check_minimum_cover(g, cover)
     outside = g.full_mask & ~cover
     levels = (
         [(mask, nbrs & outside) for mask, nbrs in level]
@@ -138,7 +143,7 @@ def classify_covers(g: Graph, report: CoverReport) -> Classification:
         return Classification(
             CLASS_ONE, beta, MultipleCovers(report.covers[0], report.covers[1])
         )
-    outcome = classification_condition(g, report.covers[0], _validate=False)
+    outcome = _pair_scan(g, report.covers[0])
     if isinstance(outcome, ConditionHolds):
         return Classification(CLASS_TWO, beta + 1, outcome)
     return Classification(CLASS_ONE, beta, outcome)

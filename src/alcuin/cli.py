@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable
@@ -225,42 +226,42 @@ def _graph_record(g: Graph, with_oracle: bool) -> dict[str, Any]:
     return record
 
 
-def _survey_chunk(task: tuple[int, int, int, bool]) -> dict[str, Any]:
-    n, lo, hi, with_oracle = task
-    totals = {
-        "graphs": 0,
-        "class_two": 0,
-        "disagreements": 0,
-        "violations": dict.fromkeys(_VIOLATION_KEYS, 0),
-    }
-    offenders = []
-    for mask in range(lo, hi):
-        g = generators.graph_from_edge_mask(n, mask)
-        record = _graph_record(g, with_oracle)
-        totals["graphs"] += 1
-        totals["class_two"] += record["class_two"]
-        bad = record["disagree"] or any(record["violations"].values())
-        totals["disagreements"] += record["disagree"]
-        for key in _VIOLATION_KEYS:
-            totals["violations"][key] += record["violations"][key]
-        if bad:
-            offenders.append(io.serialize_graph6(g))
-    totals["offenders"] = sorted(offenders)
-    return totals
-
-
-def _merge(parts: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    total = {
+def _empty_totals() -> dict[str, Any]:
+    return {
         "graphs": 0,
         "class_two": 0,
         "disagreements": 0,
         "violations": dict.fromkeys(_VIOLATION_KEYS, 0),
         "offenders": [],
     }
+
+
+def _tally(graphs: Iterable[Graph], with_oracle: bool) -> dict[str, Any]:
+    """Survey totals over graphs; offenders are sorted graph6 strings."""
+    totals = _empty_totals()
+    for g in graphs:
+        record = _graph_record(g, with_oracle)
+        totals["graphs"] += 1
+        totals["class_two"] += record["class_two"]
+        totals["disagreements"] += record["disagree"]
+        for key in _VIOLATION_KEYS:
+            totals["violations"][key] += record["violations"][key]
+        if record["disagree"] or any(record["violations"].values()):
+            totals["offenders"].append(io.serialize_graph6(g))
+    totals["offenders"].sort()
+    return totals
+
+
+def _survey_chunk(task: tuple[int, int, int]) -> dict[str, Any]:
+    n, lo, hi = task
+    return _tally((generators.graph_from_edge_mask(n, m) for m in range(lo, hi)), True)
+
+
+def _merge(parts: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    total = _empty_totals()
     for part in parts:
-        total["graphs"] += part["graphs"]
-        total["class_two"] += part["class_two"]
-        total["disagreements"] += part["disagreements"]
+        for key in ("graphs", "class_two", "disagreements"):
+            total[key] += part[key]
         for key in _VIOLATION_KEYS:
             total["violations"][key] += part["violations"][key]
         total["offenders"] += part["offenders"]
@@ -274,48 +275,29 @@ def survey_enumerate(max_n: int, jobs: int = 1) -> dict[str, Any]:
     for n in range(max_n + 1):
         count = 1 << (n * (n - 1) // 2)
         chunk = max(1, count // max(1, jobs * 4))
-        tasks = [(n, lo, min(lo + chunk, count), True) for lo in range(0, count, chunk)]
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+        tasks = [(n, lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+        # the pool forks every worker up front, so never ask for more than
+        # there are tasks or processors
+        workers = min(jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(_survey_chunk, tasks))
         else:
             parts = [_survey_chunk(t) for t in tasks]
-        merged = _merge(parts)
-        merged_n = {"n": n}
-        merged_n.update(merged)
-        per_n.append(merged_n)
-    summary = {
+        per_n.append({"n": n, **_merge(parts)})
+    return {
         "mode": "enumerate",
         "oracle": True,
         "max_n": max_n,
         "per_n": per_n,
         "totals": _merge(per_n),
     }
-    return summary
 
 
 def survey_stream(lines: Iterable[str]) -> dict[str, Any]:
     """Classification-only survey of an external graph6 stream (no oracle)."""
-    totals = {
-        "graphs": 0,
-        "class_two": 0,
-        "disagreements": 0,
-        "violations": dict.fromkeys(_VIOLATION_KEYS, 0),
-        "offenders": [],
-    }
-    for raw in lines:
-        line = raw.strip()
-        if not line:
-            continue
-        g = io.parse_graph6(line)
-        record = _graph_record(g, with_oracle=False)
-        totals["graphs"] += 1
-        totals["class_two"] += record["class_two"]
-        if any(record["violations"].values()):
-            totals["offenders"].append(line)
-        for key in _VIOLATION_KEYS:
-            totals["violations"][key] += record["violations"][key]
-    totals["offenders"].sort()
+    graphs = (io.parse_graph6(line) for line in map(str.strip, lines) if line)
+    totals = _tally(graphs, with_oracle=False)
     return {"mode": "stdin", "oracle": False, "per_n": None, "totals": totals}
 
 

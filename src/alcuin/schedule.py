@@ -13,12 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .classify import (
-    CLASS_TWO,
-    PairWitness,
-    classification_condition,
-    classify_covers,
-)
+from .classify import PairWitness, _pair_scan
 from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, complete_covers
 from .errors import BudgetExceededError
 from .graph import Graph, bits, is_independent, mask_of, neighbors_in, vertices_of
@@ -119,14 +114,19 @@ def verify_schedule(g: Graph, sched: Schedule) -> Violation | None:
     return None
 
 
-def schedule_generic(g: Graph, cover: int, validate: bool = True) -> Schedule:
+def schedule_generic(g: Graph, cover: int) -> Schedule:
     """Capacity beta+1 schedule: the cover rides along, the rest shuttles.
 
     The whole cover stays in the boat; each left-to-right trip also carries
-    one remaining item (ascending index).  2*|V-C| - 1 crossings.
+    one remaining item (ascending index).  2*|V-C| - 1 crossings.  Raises
+    ValueError unless cover is a minimum vertex cover of g.
     """
-    if validate:
-        check_minimum_cover(g, cover)
+    check_minimum_cover(g, cover)
+    return _generic(g, cover)
+
+
+def _generic(g: Graph, cover: int) -> Schedule:
+    """schedule_generic on a cover the caller knows to be minimum."""
     rest = vertices_of(g.full_mask & ~cover)
     moves: list[Move] = []
     if not rest and g.n > 0:
@@ -154,25 +154,30 @@ def _lowest_bits(mask: int, k: int) -> int:
     return out
 
 
-def schedule_from_witness(
-    g: Graph, cover: int, s: int, t: int, validate: bool = True
-) -> Schedule:
+def schedule_from_witness(g: Graph, cover: int, s: int, t: int) -> Schedule:
     """Capacity-beta schedule from a class-one pair witness.
 
     Requires nonempty independent s, t inside the minimum cover whose common
-    outside neighborhood W has at most |s| + |t| elements.  Plan: park s on
-    the right to free |s| boat slots; shuttle everything outside N(s); swap
-    the first min(|s|, |W|) common neighbors for s; drop t, deliver the rest
-    of W in its place; shuttle the remaining neighbors of s with t's slots;
-    fetch t and finish.  With s = t this is the doubled-neighborhood variant
-    (|N(a)| <= 2|a|): one code path covers both.
+    outside neighborhood W has at most |s| + |t| elements; raises ValueError
+    otherwise.  Plan: park s on the right to free |s| boat slots; shuttle
+    everything outside N(s); swap the first min(|s|, |W|) common neighbors
+    for s; drop t, deliver the rest of W in its place; shuttle the remaining
+    neighbors of s with t's slots; fetch t and finish.  With s = t this is
+    the doubled-neighborhood variant (|N(a)| <= 2|a|): one code path covers
+    both.  The result is verified before it is returned.
     """
-    if validate:
-        check_minimum_cover(g, cover)
-        if not s or s & ~cover or not t or t & ~cover:
-            raise ValueError("s and t must be nonempty subsets of the cover")
-        if not is_independent(g, s) or not is_independent(g, t):
-            raise ValueError("s and t must be independent")
+    check_minimum_cover(g, cover)
+    if not s or s & ~cover or not t or t & ~cover:
+        raise ValueError("s and t must be nonempty subsets of the cover")
+    if not is_independent(g, s) or not is_independent(g, t):
+        raise ValueError("s and t must be independent")
+    return _from_witness(g, cover, s, t)
+
+
+def _from_witness(g: Graph, cover: int, s: int, t: int) -> Schedule:
+    """schedule_from_witness on a minimum cover and nonempty independent s, t
+    the caller vouches for; the common-neighborhood bound and the final
+    verification are still checked."""
     outside = g.full_mask & ~cover
     ns = neighbors_in(g, s, outside)
     nt = neighbors_in(g, t, outside)
@@ -209,25 +214,23 @@ def schedule_from_witness(
 def synthesize(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Schedule:
     """A feasible schedule whose capacity is exactly the Alcuin number.
 
-    Class two (and the empty graph's trivial case) uses the generic
-    cover-rides-along schedule at beta+1; class one uses the pair-witness
-    construction at beta, fetching a witness from the condition when the
-    classification short-circuited on multiple covers.
+    The pair scan on the lowest minimum cover decides: a witness gives the
+    construction at beta (class one), ConditionHolds the generic schedule at
+    beta+1 (class two).  One cover is enough, since a cover C that is not
+    unique fails strict expansion on some independent A, |N(A) - C| <= |A|,
+    and (A, A) is then a witness.  Raises BudgetExceededError above the
+    cover enumeration limit.
     """
     if g.n == 0:
         return Schedule(0, ())
     report = complete_covers(g, cover_limit)
-    cls = classify_covers(g, report)
-    if cls.verdict == CLASS_TWO:
-        return schedule_generic(g, report.covers[0], validate=False)
-    if isinstance(cls.reason, PairWitness):
-        w = cls.reason
-        return schedule_from_witness(g, w.cover, w.s, w.t, validate=False)
-    for cover in report.covers:
-        outcome = classification_condition(g, cover, _validate=False)
-        if isinstance(outcome, PairWitness):
-            return schedule_from_witness(g, cover, outcome.s, outcome.t, validate=False)
-    raise RuntimeError("class-one graph without a pair witness on any minimum cover")
+    cover = report.covers[0]
+    outcome = _pair_scan(g, cover)
+    if isinstance(outcome, PairWitness):
+        return _from_witness(g, cover, outcome.s, outcome.t)
+    if not report.unique:
+        raise RuntimeError("pair scan found no witness on a cover that is not unique")
+    return _generic(g, cover)
 
 
 def structure_check(g: Graph, w: StructureWitness) -> bool:

@@ -29,6 +29,7 @@ class Universe:
         self.synth_failures = []
         self.generic_failures = []
         self.hall_mismatches = []
+        self.first_cover_witness_misses = []  # several covers, no pair witness on covers[0]
         self.strict_hall_violations = []  # class two must satisfy strict expansion
         self.double_expansion_violations = []  # class two forbids |N(A)| <= 2|A|
         self.claw_free_violations = []  # claw-free with an edge must be class one
@@ -61,7 +62,7 @@ def universe():
             syn = alcuin.synthesize(g)
             if alcuin.verify_schedule(g, syn) is not None or syn.capacity != c_exact:
                 stats.synth_failures.append(tag)
-            generic = alcuin.schedule_generic(g, rep.covers[0], validate=False)
+            generic = alcuin.schedule_generic(g, rep.covers[0])
             if (
                 alcuin.verify_schedule(g, generic) is not None
                 or generic.capacity != beta + 1
@@ -71,6 +72,10 @@ def universe():
             for cover in rep.covers:
                 if alcuin.hall_strict(g, cover) != rep.unique:
                     stats.hall_mismatches.append(tag)
+            if not rep.unique and not isinstance(
+                alcuin.classification_condition(g, rep.covers[0]), alcuin.PairWitness
+            ):
+                stats.first_cover_witness_misses.append(tag)
 
             claw_free = alcuin.is_claw_free(g)
             two = cls.verdict == alcuin.CLASS_TWO
@@ -152,10 +157,13 @@ def test_criterion_03_schedule_soundness(universe):
 
 
 def test_criterion_04_unique_cover_equivalence(universe):
+    # a cover that is not unique fails strict expansion on some independent
+    # A, and (A, A) is then a pair witness: synthesize relies on this
     verdict_line(
         "04 unique-cover-equivalence",
-        not universe.hall_mismatches,
-        f"mismatches={universe.hall_mismatches[:5]}",
+        not universe.hall_mismatches and not universe.first_cover_witness_misses,
+        f"mismatches={universe.hall_mismatches[:5]} "
+        f"no witness on covers[0]={universe.first_cover_witness_misses[:5]}",
     )
 
 

@@ -50,6 +50,11 @@ class TestConditionOnUniqueCovers:
     def test_invalid_cover_rejected(self):
         with pytest.raises(ValueError):
             classification_condition(gen.star(3), mask_of([1]))
+        # {0, 1} covers the path 0-1-2, but {1} is smaller
+        with pytest.raises(ValueError, match="not minimum"):
+            classification_condition(gen.path(3), mask_of([0, 1]))
+        with pytest.raises(TypeError):
+            classification_condition(gen.path(3), mask_of([1]), _validate=False)
 
 
 class TestClassify:

@@ -1,7 +1,10 @@
+import io as stdio
 import json
+import os
 
 import pytest
 
+from alcuin import cli
 from alcuin import generators as gen
 from alcuin.cli import main, survey_enumerate, survey_stream
 from alcuin.io import parse_graph6, schedule_json, serialize_graph6
@@ -177,8 +180,6 @@ class TestSurvey:
         assert summary["totals"]["offenders"] == []
 
     def test_stdin_mode(self, capsys, monkeypatch):
-        import io as stdio
-
         monkeypatch.setattr("sys.stdin", stdio.StringIO("Bw\nBg\n"))
         code, out, _ = run(capsys, "survey", "--stdin-graph6")
         assert code == 0
@@ -188,6 +189,92 @@ class TestSurvey:
     def test_max_n_capped(self, capsys):
         code, _, _ = run(capsys, "survey", "--max-n", "7")
         assert code == 3
+
+    def test_workers_capped_by_tasks_and_processors(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        many = survey_enumerate(3, jobs=10**6)
+        # n = 2 splits into 2 one-graph tasks, n = 3 into 8; n <= 1 runs inline
+        assert sizes == [2, 4]
+        assert json.dumps(many) == json.dumps(survey_enumerate(3, jobs=1))
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        sizes.clear()
+        assert json.dumps(survey_enumerate(3, jobs=8)) == json.dumps(many)
+        assert sizes == []
+
+    def test_modes_agree(self):
+        lines = [serialize_graph6(g) for n in range(5) for g in gen.all_labeled_graphs(n)]
+        streamed = survey_stream(lines)["totals"]
+        enumerated = survey_enumerate(4)["totals"]
+        assert streamed["graphs"] == enumerated["graphs"] == 76
+        assert streamed["class_two"] == enumerated["class_two"]
+        assert streamed["violations"] == enumerated["violations"]
+
+
+class TestFalsification:
+    """A survey that finds a violation counts it, names the offenders on
+    stderr and exits 1; here a stubbed record flags every one-edge graph."""
+
+    @pytest.fixture
+    def one_edge_flagged(self, monkeypatch):
+        real = cli._graph_record
+
+        def record(g, with_oracle):
+            out = real(g, with_oracle)
+            if g.edge_count() == 1:
+                out["violations"]["girth_bound"] = 1
+            return out
+
+        monkeypatch.setattr(cli, "_graph_record", record)
+
+    @staticmethod
+    def one_edge_graphs(max_n):
+        return sorted(
+            serialize_graph6(g)
+            for n in range(max_n + 1)
+            for g in gen.all_labeled_graphs(n)
+            if g.edge_count() == 1
+        )
+
+    def check(self, code, out, err, offenders):
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["totals"]["violations"] == dict(
+            dict.fromkeys(cli._VIOLATION_KEYS, 0), girth_bound=len(offenders)
+        )
+        assert doc["totals"]["offenders"] == offenders
+        assert err.splitlines() == [f"falsified: {g6}" for g6 in offenders]
+        return doc
+
+    def test_enumerate(self, capsys, one_edge_flagged):
+        offenders = self.one_edge_graphs(3)
+        assert len(offenders) == 4
+        doc = self.check(*run(capsys, "survey", "--max-n", "3", "--jobs", "1"), offenders)
+        assert [row["violations"]["girth_bound"] for row in doc["per_n"]] == [0, 0, 1, 3]
+        assert [len(row["offenders"]) for row in doc["per_n"]] == [0, 0, 1, 3]
+
+    def test_stream(self, capsys, monkeypatch, one_edge_flagged):
+        offenders = self.one_edge_graphs(3)
+        others = ["?", "@", "Bw", "B?"]
+        lines = ["  " + g6 + " " for g6 in reversed(offenders)] + ["", *others]
+        monkeypatch.setattr("sys.stdin", stdio.StringIO("\n".join(lines) + "\n"))
+        doc = self.check(*run(capsys, "survey", "--stdin-graph6"), offenders)
+        assert doc["totals"]["graphs"] == len(offenders) + len(others)
 
 
 class TestGenerate:

@@ -1,6 +1,7 @@
 import pytest
 
 from alcuin import (
+    ConditionHolds,
     Graph,
     Move,
     Schedule,
@@ -127,6 +128,9 @@ class TestGenericSchedule:
     def test_rejects_bad_cover(self):
         with pytest.raises(ValueError):
             schedule_generic(P3, mask_of([0]))
+        # {w, g} covers both edges of the path but {g} is smaller
+        with pytest.raises(ValueError, match="not minimum"):
+            schedule_generic(P3, W | G)
 
 
 class TestWitnessSchedule:
@@ -180,6 +184,18 @@ class TestWitnessSchedule:
         with pytest.raises(ValueError):
             schedule_from_witness(g, mask_of([0, 1, 2]), mask_of([0, 1]), 1)
 
+    def test_rejects_non_minimum_cover(self):
+        # without the check, {w, g} with s = t = {w} builds a capacity-2 plan
+        with pytest.raises(ValueError, match="not minimum"):
+            schedule_from_witness(P3, W | G, W, W)
+
+
+def test_cover_check_cannot_be_switched_off():
+    with pytest.raises(TypeError):
+        schedule_generic(P3, G, validate=False)
+    with pytest.raises(TypeError):
+        schedule_from_witness(P3, G, G, G, validate=False)
+
 
 class TestSynthesize:
     def test_path(self):
@@ -195,6 +211,12 @@ class TestSynthesize:
         g = gen.cycle(4)
         sched = synthesize(g)
         assert sched.capacity == 2 and verify_schedule(g, sched) is None
+
+    def test_no_witness_on_a_cover_that_is_not_unique_raises(self, monkeypatch):
+        # C4 has two minimum covers, so the scan on the first must find a witness
+        monkeypatch.setattr("alcuin.schedule._pair_scan", lambda g, c: ConditionHolds(c))
+        with pytest.raises(RuntimeError, match="not unique"):
+            synthesize(gen.cycle(4))
 
     def test_degenerate_and_edgeless(self):
         assert synthesize(Graph(0, ())) == Schedule(0, ())
