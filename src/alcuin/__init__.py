@@ -26,7 +26,6 @@ from .classify import (
 from .cover import (
     CoverReport,
     alpha,
-    complete_covers,
     hall_strict,
     is_vertex_cover,
     min_covers,
@@ -84,7 +83,6 @@ __all__ = [
     "classification_condition",
     "classify",
     "classify_covers",
-    "complete_covers",
     "exists_2x_witness",
     "fast_paths",
     "feasible",

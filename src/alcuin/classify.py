@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CoverReport, check_minimum_cover, complete_covers, independent_levels
+from .cover import CoverReport, check_minimum_cover, independent_levels, min_covers
 from .cover import DEFAULT_ENUMERATION_LIMIT
 from .graph import Graph, bits, is_claw_free
 
@@ -128,7 +128,7 @@ def _pair_scan(g: Graph, cover: int) -> ConditionHolds | PairWitness:
 
 
 def classify_covers(g: Graph, report: CoverReport) -> Classification:
-    """Verdict, Alcuin number and reason from the complete cover report of g.
+    """Verdict, Alcuin number and reason from the cover report of g.
 
     For callers that need the covers as well as the verdict: the enumeration
     is the costly step, and this runs it once where min_covers followed by
@@ -136,8 +136,6 @@ def classify_covers(g: Graph, report: CoverReport) -> Classification:
     """
     if g.n == 0:
         return Classification(CLASS_ONE, 0, Degenerate())
-    if not report.complete:
-        raise ValueError("classification needs every minimum cover")
     beta = report.beta
     if len(report.covers) >= 2:
         return Classification(
@@ -160,7 +158,7 @@ def classify(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Classifi
     """
     if g.n == 0:  # ahead of the budget check: nothing to enumerate at any limit
         return Classification(CLASS_ONE, 0, Degenerate())
-    return classify_covers(g, complete_covers(g, cover_limit))
+    return classify_covers(g, min_covers(g, cover_limit))
 
 
 def exists_2x_witness(g: Graph, cover: int) -> int | None:
@@ -190,11 +188,12 @@ class FastPath:
 def fast_paths(g: Graph, cover: int) -> FastPath | None:
     """Cheap sufficient conditions for class one; advisory only.
 
-    Fires when the graph is claw-free, or when some cover vertices u, v
-    (u = v allowed) share at most two neighbors outside the cover.
+    Fires when the graph has an edge and is claw-free, or when some cover
+    vertices u, v (u = v allowed) share at most two neighbors outside the
+    cover.  Edgeless graphs get None: they are claw-free but class two.
     """
     check_minimum_cover(g, cover)
-    if is_claw_free(g):
+    if cover and is_claw_free(g):
         return FastPath("claw_free")
     outside = g.full_mask & ~cover
     members = list(bits(cover))

@@ -18,7 +18,7 @@ from typing import Any, Callable, Iterable
 
 from . import generators, io, oracle
 from .classify import CLASS_TWO, classify_covers, exists_2x_witness
-from .cover import complete_covers, hall_strict
+from .cover import DEFAULT_ENUMERATION_LIMIT, hall_strict, min_covers
 from .errors import BudgetExceededError
 from .graph import Graph, bits, cartesian_product, girth, is_claw_free
 from .schedule import Schedule, render_trace, synthesize, verify_schedule
@@ -113,7 +113,7 @@ def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     try:
-        covers = complete_covers(g, args.cover_limit)
+        covers = min_covers(g, args.cover_limit)
     except BudgetExceededError as exc:
         raise _CliError(EXIT_BUDGET, str(exc)) from None
     report = io.build_report(g, classify_covers(g, covers), covers)
@@ -192,7 +192,7 @@ _VIOLATION_KEYS = (
 
 def _graph_record(g: Graph, with_oracle: bool) -> dict[str, Any]:
     """Classify one graph and collect falsification counters."""
-    covers = complete_covers(g)
+    covers = min_covers(g)
     cls = classify_covers(g, covers)
     record: dict[str, Any] = {
         "class_two": cls.verdict == CLASS_TWO,
@@ -337,7 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_arguments(p)
     p.add_argument("--human", action="store_true", help="table instead of JSON")
     p.add_argument(
-        "--cover-limit", type=_int_at_least(0), default=16, help="cover enumeration budget"
+        "--cover-limit",
+        type=_int_at_least(0),
+        default=DEFAULT_ENUMERATION_LIMIT,
+        help="cover enumeration budget",
     )
     p.set_defaults(func=_cmd_analyze)
 
@@ -347,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shortest", action="store_true", help="BFS shortest schedule")
     p.add_argument("--trace", action="store_true", help="render a crossing table")
     p.add_argument("--labels", help="comma-separated vertex labels for --trace")
-    p.add_argument("--cover-limit", type=_int_at_least(0), default=16)
+    p.add_argument("--cover-limit", type=_int_at_least(0), default=DEFAULT_ENUMERATION_LIMIT)
     p.add_argument(
         "--search-limit",
         type=_int_at_least(0),

@@ -4,6 +4,7 @@ alpha() runs a branch-and-bound maximum-independent-set search.  min_covers()
 enumerates every maximum independent set per connected component, with its
 own size bound and without consulting alpha(), and complements them; the two
 routes therefore cross-check each other through the alpha + beta = n identity.
+Above its vertex budget min_covers() raises rather than search.
 independent_levels() lists the independent subsets of a cover one size at a
 time, building each size only when its caller asks for it, so the pair scan
 and the expansion tests stop without building sizes they never read.
@@ -12,7 +13,7 @@ and the expansion tests stop without building sizes they never read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import ClassVar, Iterator
 
 from .errors import BudgetExceededError
 from .graph import Graph, bits, vertices_of
@@ -22,36 +23,36 @@ DEFAULT_ENUMERATION_LIMIT = 16
 
 @dataclass(frozen=True)
 class CoverReport:
-    """All minimum vertex covers of a graph.
+    """Every minimum vertex cover of a graph, in ascending mask order.
 
-    covers holds every minimum cover (ascending mask order) when complete is
-    True; under the enumeration budget a single witness cover is returned
-    with complete False, and unique is not meaningful.
+    A report always holds the full set of covers, so unique is read off the
+    count and complete is a constant, kept for the covers_complete key of
+    the report JSON.
     """
 
     beta: int
     covers: tuple[int, ...]
-    unique: bool
-    complete: bool = True
+    complete: ClassVar[bool] = True
+
+    @property
+    def unique(self) -> bool:
+        return len(self.covers) == 1
 
 
-def _alpha_search(g: Graph) -> tuple[int, int]:
-    """Branch-and-bound maximum independent set: (alpha, witness mask).
+def alpha(g: Graph) -> int:
+    """Independence number: size of a largest pairwise non-adjacent set.
 
-    Branches on the lowest-index maximum-degree vertex of the remaining
-    subgraph: either exclude it, or include it and drop its closed
-    neighborhood.
+    Branch and bound on the lowest-index maximum-degree vertex of the
+    remaining subgraph: first exclude it, then include it and drop its
+    closed neighborhood.  It shares no code with the cover enumeration, so
+    alpha + beta = n checks one against the other.
     """
     adj = g.adj
     best = -1
-    witness = 0
 
-    def rec(remaining: int, chosen: int, size: int) -> None:
-        nonlocal best, witness
+    def rec(remaining: int, size: int) -> None:
+        nonlocal best
         if size + remaining.bit_count() <= best:
-            return
-        if remaining == 0:
-            best, witness = size, chosen
             return
         v = -1
         vdeg = -1
@@ -63,20 +64,15 @@ def _alpha_search(g: Graph) -> tuple[int, int]:
             if d > vdeg:
                 v, vdeg = u, d
             m ^= low
-        if vdeg == 0:
-            best, witness = size + remaining.bit_count(), chosen | remaining
+        if vdeg <= 0:  # no edge left: every remaining vertex joins the set
+            best = size + remaining.bit_count()
             return
         bit = 1 << v
-        rec(remaining ^ bit, chosen, size)
-        rec(remaining & ~(adj[v] | bit), chosen | bit, size + 1)
+        rec(remaining ^ bit, size)
+        rec(remaining & ~(adj[v] | bit), size + 1)
 
-    rec(g.full_mask, 0, 0)
-    return best, witness
-
-
-def alpha(g: Graph) -> int:
-    """Independence number: size of a largest pairwise non-adjacent set."""
-    return _alpha_search(g)[0]
+    rec(g.full_mask, 0)
+    return best
 
 
 def _component_mis(adj: tuple[int, ...], comp: int) -> tuple[int, list[int]]:
@@ -136,29 +132,17 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
 def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
     """Every minimum vertex cover, as complements of maximum independent sets.
 
-    Above the enumeration budget the report degrades to beta plus one witness
-    cover, flagged complete=False; truncation is never silent.
-    """
-    full = g.full_mask
-    if g.n > full_limit:
-        a, wit = _alpha_search(g)
-        return CoverReport(g.n - a, (full ^ wit,), unique=False, complete=False)
-    a, sets = _maximum_independent_sets(g)
-    covers = tuple(sorted(full ^ s for s in sets))
-    return CoverReport(g.n - a, covers, unique=len(covers) == 1, complete=True)
-
-
-def complete_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
-    """min_covers, raising BudgetExceededError where it would degrade.
-
-    Checks the budget before any search: the degraded witness min_covers
-    would compute is of no use to a caller that needs every cover.
+    Raises BudgetExceededError, before any search, when g has more than
+    full_limit vertices: one cover alone cannot tell whether it is unique,
+    so there is no partial answer.
     """
     if g.n > full_limit:
         raise BudgetExceededError(
             f"cover enumeration for n={g.n} exceeds the limit {full_limit}"
         )
-    return min_covers(g, full_limit)
+    a, sets = _maximum_independent_sets(g)
+    full = g.full_mask
+    return CoverReport(g.n - a, tuple(sorted(full ^ s for s in sets)))
 
 
 def is_vertex_cover(g: Graph, mask: int) -> bool:

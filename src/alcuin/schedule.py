@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .classify import PairWitness, _pair_scan
-from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, complete_covers
+from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, min_covers
 from .errors import BudgetExceededError
 from .graph import Graph, bits, is_independent, mask_of, neighbors_in, vertices_of
 
@@ -223,7 +223,7 @@ def synthesize(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Schedu
     """
     if g.n == 0:
         return Schedule(0, ())
-    report = complete_covers(g, cover_limit)
+    report = min_covers(g, cover_limit)
     cover = report.covers[0]
     outcome = _pair_scan(g, cover)
     if isinstance(outcome, PairWitness):

@@ -102,9 +102,8 @@ def universe():
                 r = alcuin.is_regular(g)
                 if r is not None and r >= 1 and alcuin.girth(g) != 3:
                     stats.regular_girth_violations.append(tag)
-            if beta >= 1:
-                if alcuin.fast_paths(g, rep.covers[0]) is not None and two:
-                    stats.fast_path_contradictions.append(tag)
+            if alcuin.fast_paths(g, rep.covers[0]) is not None and two:
+                stats.fast_path_contradictions.append(tag)
         stats.graphs_by_n[n] = count
     stats.elapsed = time.perf_counter() - start
     return stats

@@ -15,7 +15,6 @@ from alcuin import (
     PairWitness,
     classification_condition,
     classify,
-    classify_covers,
     exists_2x_witness,
     fast_paths,
     hall_strict,
@@ -174,13 +173,6 @@ class TestPairScanFloor:
                     assert hall_strict(g, cover) == brute_hall_strict(g, cover)
 
 
-class TestClassifyCovers:
-    def test_rejects_incomplete_report(self):
-        g = gen.random_graph(18, 0.3, 1)
-        with pytest.raises(ValueError):
-            classify_covers(g, min_covers(g))
-
-
 class TestCliffs:
     """Graphs that once took seconds; results only, no timing."""
 
@@ -240,8 +232,6 @@ class TestFastPaths:
 
         for g in gen.all_labeled_graphs(4):
             rep = min_covers(g)
-            if rep.beta == 0:
-                continue
             cls = classify(g)
             if fast_paths(g, rep.covers[0]) is not None:
                 assert cls.verdict == CLASS_ONE

@@ -4,9 +4,9 @@ import pytest
 
 from alcuin import (
     BudgetExceededError,
+    CoverReport,
     Graph,
     alpha,
-    complete_covers,
     hall_strict,
     is_vertex_cover,
     mask_of,
@@ -92,6 +92,7 @@ class TestMinCovers:
                 assert is_vertex_cover(g, c)
                 assert c.bit_count() == rep.beta
             assert rep.unique == (len(rep.covers) == 1)
+            assert rep.complete is True
 
     def test_agrees_with_reference(self):
         for n in range(5):
@@ -106,18 +107,34 @@ class TestMinCovers:
             rep = min_covers(g)
             assert (rep.beta, list(rep.covers)) == (beta, covers)
 
-    def test_budget_degrades_to_witness(self):
-        g = gen.random_graph(18, 0.3, 5)
-        rep = min_covers(g)
-        assert not rep.complete
-        assert not rep.unique
-        assert len(rep.covers) == 1
-        assert is_vertex_cover(g, rep.covers[0])
-        assert rep.covers[0].bit_count() == rep.beta == g.n - alpha(g)
+    def test_report_holds_only_beta_and_covers(self):
+        rep = CoverReport(2, (0b0101, 0b1010))
+        assert not rep.unique and rep.complete is True
+        assert CoverReport(1, (1,)).unique
+        with pytest.raises(TypeError):
+            CoverReport(1, (1,), unique=True)
+        with pytest.raises(TypeError):
+            CoverReport(1, (1,), complete=False)
+
+    def test_budget_raises_before_search(self, monkeypatch):
+        def no_search(g):
+            raise AssertionError("searched above the budget")
+
+        monkeypatch.setattr("alcuin.cover._maximum_independent_sets", no_search)
+        message = "^cover enumeration for n=18 exceeds the limit 16$"
+        with pytest.raises(BudgetExceededError, match=message):
+            min_covers(gen.random_graph(18, 0.3, 5))
 
     def test_budget_is_configurable(self):
-        assert not min_covers(gen.cycle(4), full_limit=3).complete
+        message = "^cover enumeration for n=4 exceeds the limit 3$"
+        with pytest.raises(BudgetExceededError, match=message):
+            min_covers(gen.cycle(4), full_limit=3)
         assert min_covers(gen.random_graph(18, 0.3, 5), full_limit=18).complete
+
+    def test_matching32_raises_at_default_limit(self):
+        # 2^32 covers: at the default limit this must fail fast, not search
+        with pytest.raises(BudgetExceededError, match="n=64 exceeds the limit 16"):
+            min_covers(matching(32))
 
     def test_gallai_identity(self):
         for g in gen.all_labeled_graphs(5):
@@ -154,17 +171,6 @@ class TestMaximumIndependentSets:
         # every even vertex, then vertex 1 in place of vertex 0
         assert rep.covers[0] == 0x55555555
         assert rep.covers[1] == 0x55555556
-
-
-class TestCompleteCovers:
-    def test_same_report_as_min_covers_within_budget(self):
-        for g in gen.all_labeled_graphs(4):
-            assert complete_covers(g) == min_covers(g)
-
-    def test_raises_above_budget(self):
-        with pytest.raises(BudgetExceededError, match="n=18 exceeds the limit 16"):
-            complete_covers(gen.random_graph(18, 0.3, 5))
-        assert complete_covers(gen.random_graph(18, 0.3, 5), 18).complete
 
 
 class TestIndependentSubsets:
