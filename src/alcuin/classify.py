@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cover import CoverReport, check_minimum_cover, independent_levels, min_covers
-from .cover import DEFAULT_ENUMERATION_LIMIT
+from .cover import DEFAULT_ENUMERATION_LIMIT, _sparse_subset
 from .graph import Graph, bits, is_claw_free
 
 CLASS_ONE = "one"
@@ -168,12 +168,7 @@ def exists_2x_witness(g: Graph, cover: int) -> int | None:
     Such an A certifies class one; it is exactly a PairWitness with S = T.
     """
     check_minimum_cover(g, cover)
-    outside = g.full_mask & ~cover
-    for size, level in enumerate(independent_levels(g, cover), 1):
-        for mask, nbrs in level:
-            if (nbrs & outside).bit_count() <= 2 * size:
-                return mask
-    return None
+    return _sparse_subset(g, cover, 2)
 
 
 @dataclass(frozen=True)
@@ -195,10 +190,17 @@ def fast_paths(g: Graph, cover: int) -> FastPath | None:
     check_minimum_cover(g, cover)
     if cover and is_claw_free(g):
         return FastPath("claw_free")
+    pair = _close_pair(g, cover)
+    return None if pair is None else FastPath("pair_common_neighbors", *pair)
+
+
+def _close_pair(g: Graph, cover: int) -> tuple[int, int] | None:
+    """First cover pair u <= v with at most two common neighbors outside
+    the cover, or None; the cover is taken as given."""
     outside = g.full_mask & ~cover
     members = list(bits(cover))
     for i, u in enumerate(members):
         for v in members[i:]:
             if (g.adj[u] & g.adj[v] & outside).bit_count() <= 2:
-                return FastPath("pair_common_neighbors", u, v)
+                return u, v
     return None

@@ -17,10 +17,10 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable
 
 from . import generators, io, oracle
-from .classify import CLASS_TWO, classify_covers, exists_2x_witness
-from .cover import DEFAULT_ENUMERATION_LIMIT, hall_strict, min_covers
+from .classify import CLASS_TWO, _close_pair, classify_covers
+from .cover import DEFAULT_ENUMERATION_LIMIT, _sparse_subset, min_covers
 from .errors import BudgetExceededError
-from .graph import Graph, bits, cartesian_product, girth, is_claw_free
+from .graph import Graph, cartesian_product, girth, is_claw_free
 from .schedule import Schedule, render_trace, synthesize, verify_schedule
 
 EXIT_OK = 0
@@ -104,6 +104,11 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return parse
 
 
+def _capacity(text: str) -> int | None:
+    """argparse type for --capacity: None for auto, else an integer >= 0."""
+    return None if text == "auto" else _int_at_least(0)(text)
+
+
 def _add_graph_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph6", nargs="?", help="graph6 string")
     p.add_argument("--edge-list", metavar="PATH", help="read an edge-list file")
@@ -128,14 +133,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    capacity: int | None = None
-    if args.capacity != "auto":
-        try:
-            capacity = int(args.capacity)
-        except ValueError:
-            raise _CliError(EXIT_INPUT, f"bad --capacity {args.capacity!r}") from None
-        if capacity < 0:
-            raise _CliError(EXIT_INPUT, "negative --capacity")
+    capacity = args.capacity
     try:
         if args.shortest:
             if capacity is None:
@@ -191,74 +189,45 @@ _VIOLATION_KEYS = (
 
 
 def _graph_record(g: Graph, with_oracle: bool) -> dict[str, Any]:
-    """Classify one graph and collect falsification counters."""
+    """Survey totals for the one graph g, in the shape _merge folds.  The
+    oracle finds its own beta; the class-two checks skip the minimality
+    proof, since covers[0] is minimum by construction."""
     covers = min_covers(g)
     cls = classify_covers(g, covers)
-    record: dict[str, Any] = {
-        "class_two": cls.verdict == CLASS_TWO,
-        "disagree": False,
-        "violations": dict.fromkeys(_VIOLATION_KEYS, 0),
-    }
     beta = covers.beta
+    disagree = False
     if with_oracle:
-        c, _ = oracle.alcuin_exact(g, beta=beta)
-        if c != cls.c or not beta <= c <= beta + 1:
-            record["disagree"] = True
+        c, _ = oracle.alcuin_exact(g)
+        disagree = c != cls.c or not beta <= c <= beta + 1
+    violations = dict.fromkeys(_VIOLATION_KEYS, 0)
     if cls.verdict == CLASS_TWO:
         cover = covers.covers[0]
-        if not hall_strict(g, cover):
-            record["violations"]["strict_hall"] = 1
-        outside = g.full_mask & ~cover
-        if exists_2x_witness(g, cover) is not None:
-            record["violations"]["double_expansion"] = 1
-        if beta >= 1 and is_claw_free(g):
-            record["violations"]["claw_free"] = 1
-        for u in bits(cover):
-            for v in bits(cover):
-                if v < u:
-                    continue
-                if (g.adj[u] & g.adj[v] & outside).bit_count() <= 2:
-                    record["violations"]["pair_common_neighbors"] = 1
-        if beta >= 2:
-            gi = girth(g)
-            if gi is None or gi > 4:
-                record["violations"]["girth_bound"] = 1
-    return record
-
-
-def _empty_totals() -> dict[str, Any]:
+        violations.update(
+            strict_hall=int(_sparse_subset(g, cover, 1) is not None),
+            double_expansion=int(_sparse_subset(g, cover, 2) is not None),
+            claw_free=int(beta >= 1 and is_claw_free(g)),
+            pair_common_neighbors=int(_close_pair(g, cover) is not None),
+            girth_bound=int(beta >= 2 and girth(g) not in (3, 4)),  # None: acyclic
+        )
+    offending = disagree or any(violations.values())
     return {
+        "graphs": 1,
+        "class_two": int(cls.verdict == CLASS_TWO),
+        "disagreements": int(disagree),
+        "violations": violations,
+        "offenders": [io.serialize_graph6(g)] if offending else [],
+    }
+
+
+def _merge(parts: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """Sum survey totals; offenders come out as sorted graph6 strings."""
+    total: dict[str, Any] = {
         "graphs": 0,
         "class_two": 0,
         "disagreements": 0,
         "violations": dict.fromkeys(_VIOLATION_KEYS, 0),
         "offenders": [],
     }
-
-
-def _tally(graphs: Iterable[Graph], with_oracle: bool) -> dict[str, Any]:
-    """Survey totals over graphs; offenders are sorted graph6 strings."""
-    totals = _empty_totals()
-    for g in graphs:
-        record = _graph_record(g, with_oracle)
-        totals["graphs"] += 1
-        totals["class_two"] += record["class_two"]
-        totals["disagreements"] += record["disagree"]
-        for key in _VIOLATION_KEYS:
-            totals["violations"][key] += record["violations"][key]
-        if record["disagree"] or any(record["violations"].values()):
-            totals["offenders"].append(io.serialize_graph6(g))
-    totals["offenders"].sort()
-    return totals
-
-
-def _survey_chunk(task: tuple[int, int, int]) -> dict[str, Any]:
-    n, lo, hi = task
-    return _tally((generators.graph_from_edge_mask(n, m) for m in range(lo, hi)), True)
-
-
-def _merge(parts: Iterable[dict[str, Any]]) -> dict[str, Any]:
-    total = _empty_totals()
     for part in parts:
         for key in ("graphs", "class_two", "disagreements"):
             total[key] += part[key]
@@ -269,22 +238,32 @@ def _merge(parts: Iterable[dict[str, Any]]) -> dict[str, Any]:
     return total
 
 
+def _survey_chunk(task: tuple[int, int, int]) -> dict[str, Any]:
+    n, lo, hi = task
+    graphs = (generators.graph_from_edge_mask(n, m) for m in range(lo, hi))
+    return _merge(_graph_record(g, True) for g in graphs)
+
+
 def survey_enumerate(max_n: int, jobs: int = 1) -> dict[str, Any]:
     """Exhaustive per-n survey with oracle cross-check; order-independent."""
-    per_n = []
+    tasks = []
     for n in range(max_n + 1):
         count = 1 << (n * (n - 1) // 2)
         chunk = max(1, count // max(1, jobs * 4))
-        tasks = [(n, lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
-        # the pool forks every worker up front, so never ask for more than
-        # there are tasks or processors
-        workers = min(jobs, len(tasks), os.cpu_count() or 1)
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(_survey_chunk, tasks))
-        else:
-            parts = [_survey_chunk(t) for t in tasks]
-        per_n.append({"n": n, **_merge(parts)})
+        tasks += [(n, lo, min(lo + chunk, count)) for lo in range(0, count, chunk)]
+    # one flat task list over every n runs through one pool, which forks
+    # every worker up front, so never ask for more than there are tasks or
+    # processors
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_survey_chunk, tasks))
+    else:
+        parts = [_survey_chunk(t) for t in tasks]
+    per_n = [
+        {"n": n, **_merge(part for (m, _, _), part in zip(tasks, parts) if m == n)}
+        for n in range(max_n + 1)
+    ]
     return {
         "mode": "enumerate",
         "oracle": True,
@@ -297,7 +276,7 @@ def survey_enumerate(max_n: int, jobs: int = 1) -> dict[str, Any]:
 def survey_stream(lines: Iterable[str]) -> dict[str, Any]:
     """Classification-only survey of an external graph6 stream (no oracle)."""
     graphs = (io.parse_graph6(line) for line in map(str.strip, lines) if line)
-    totals = _tally(graphs, with_oracle=False)
+    totals = _merge(_graph_record(g, False) for g in graphs)
     return {"mode": "stdin", "oracle": False, "per_n": None, "totals": totals}
 
 
@@ -346,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="synthesize or search a ferry schedule")
     _add_graph_arguments(p)
-    p.add_argument("--capacity", default="auto", help="boat capacity (default: auto)")
+    p.add_argument("--capacity", type=_capacity, help="boat capacity (default: auto)")
     p.add_argument("--shortest", action="store_true", help="BFS shortest schedule")
     p.add_argument("--trace", action="store_true", help="render a crossing table")
     p.add_argument("--labels", help="comma-separated vertex labels for --trace")

@@ -190,6 +190,18 @@ def independent_levels(g: Graph, base: int) -> Iterator[list[tuple[int, int]]]:
         level = nxt
 
 
+def _sparse_subset(g: Graph, cover: int, factor: int) -> int | None:
+    """First nonempty independent A within the cover, in size then mask
+    order, with at most factor * |A| neighbors outside the cover, or None.
+    The cover is taken as given; callers that cannot vouch for it check it."""
+    outside = g.full_mask & ~cover
+    for size, level in enumerate(independent_levels(g, cover), 1):
+        for mask, nbrs in level:
+            if (nbrs & outside).bit_count() <= factor * size:
+                return mask
+    return None
+
+
 def hall_strict(g: Graph, cover: int) -> bool:
     """Strict expansion test on a minimum cover: characterizes uniqueness.
 
@@ -198,9 +210,4 @@ def hall_strict(g: Graph, cover: int) -> bool:
     equivalent to the cover being the unique minimum one.
     """
     check_minimum_cover(g, cover)
-    outside = g.full_mask & ~cover
-    for size, level in enumerate(independent_levels(g, cover), 1):
-        for _, nbrs in level:
-            if (nbrs & outside).bit_count() <= size:
-                return False
-    return True
+    return _sparse_subset(g, cover, 1) is None

@@ -136,14 +136,17 @@ def alcuin_exact(
 
     Tries b = max(beta, 1) first (capacity 0 moves nothing, so c >= 1 for
     n >= 1); on failure b+1 must succeed, which the cover-rides-along
-    construction guarantees, and a miss there aborts loudly.
+    construction guarantees, and a miss there aborts loudly.  beta is always
+    computed here; a passed beta that differs from it raises ValueError.
     """
+    if g.n:  # the empty graph needs no search, so no limit applies to it
+        _check_limit(g, limit)
+    own_beta = _vertex_cover_number(g.adj, g.full_mask)
+    if beta is not None and beta != own_beta:
+        raise ValueError(f"beta={beta} is not the vertex cover number {own_beta}")
     if g.n == 0:
         return 0, Schedule(0, ())
-    _check_limit(g, limit)
-    if beta is None:
-        beta = _vertex_cover_number(g.adj, g.full_mask)
-    b = max(beta, 1)
+    b = max(own_beta, 1)
     result = feasible(g, b, limit)
     if result.feasible:
         assert result.schedule is not None

@@ -1,3 +1,4 @@
+import hashlib
 import io as stdio
 import json
 import os
@@ -7,6 +8,7 @@ import pytest
 from alcuin import cli
 from alcuin import generators as gen
 from alcuin.cli import main, survey_enumerate, survey_stream
+from alcuin.cover import CoverReport
 from alcuin.io import parse_graph6, schedule_json, serialize_graph6
 from alcuin.schedule import synthesize
 
@@ -100,8 +102,10 @@ class TestSchedule:
         assert code == 0 and json.loads(out)["capacity"] == 2
 
     def test_bad_capacity_exits_2(self, capsys):
-        code, _, _ = run(capsys, "schedule", "Bg", "--capacity", "lots")
-        assert code == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["schedule", "Bg", "--capacity", "lots"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'lots'" in capsys.readouterr().err
 
     def test_wrong_label_count_exits_2(self, capsys):
         code, _, _ = run(capsys, "schedule", "Bg", "--trace", "--labels", "a,b")
@@ -209,13 +213,27 @@ class TestSurvey:
         monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         many = survey_enumerate(3, jobs=10**6)
-        # n = 2 splits into 2 one-graph tasks, n = 3 into 8; n <= 1 runs inline
-        assert sizes == [2, 4]
+        # one flat list of 12 one-graph tasks over n <= 3 runs through one pool
+        assert sizes == [4]
         assert json.dumps(many) == json.dumps(survey_enumerate(3, jobs=1))
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         sizes.clear()
         assert json.dumps(survey_enumerate(3, jobs=8)) == json.dumps(many)
         assert sizes == []
+
+    def test_document_pinned(self, capsys):
+        code, out, _ = run(capsys, "survey", "--max-n", "5")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "8a432ffd4c8a4f66848c59441fecd90d422d42675d9e6a372e1821ba76265d36"
+
+    def test_oracle_finds_its_own_beta(self, monkeypatch):
+        # a cover code that reports beta one too high: {0, 1} covers P3
+        # but is not minimum, so the classifier answers c = 2 where c = 1
+        monkeypatch.setattr(cli, "min_covers", lambda g: CoverReport(2, (0b011,)))
+        record = cli._graph_record(gen.path(3), with_oracle=True)
+        assert record["disagreements"] == 1
+        assert record["offenders"] == ["Bg"]
 
     def test_modes_agree(self):
         lines = [serialize_graph6(g) for n in range(5) for g in gen.all_labeled_graphs(n)]
@@ -238,6 +256,7 @@ class TestFalsification:
             out = real(g, with_oracle)
             if g.edge_count() == 1:
                 out["violations"]["girth_bound"] = 1
+                out["offenders"] = [serialize_graph6(g)]
             return out
 
         monkeypatch.setattr(cli, "_graph_record", record)
@@ -324,6 +343,7 @@ class TestGenerate:
         ["survey", "--max-n", "-1"],
         ["survey", "--max-n", "2", "--jobs", "0"],
         ["survey", "--max-n", "2", "--jobs", "-2"],
+        ["schedule", "Bg", "--capacity", "-1"],
     ],
 )
 def test_out_of_range_numbers_exit_2(capsys, argv):

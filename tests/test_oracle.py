@@ -174,6 +174,16 @@ class TestAlcuinExact:
             beta = min_covers(g).beta
             assert alcuin_exact(g)[0] == alcuin_exact(g, beta=beta)[0]
 
+    def test_wrong_beta_hint_raises(self):
+        # too high used to answer c = 5 for P3 (c = 1); too low used to
+        # abort when capacity beta + 1 = 2 failed on K4
+        with pytest.raises(ValueError):
+            alcuin_exact(gen.path(3), beta=5)
+        with pytest.raises(ValueError):
+            alcuin_exact(gen.complete(4), beta=1)
+        with pytest.raises(ValueError):
+            alcuin_exact(gen.edgeless(0), beta=1)
+
     def test_relabeling_invariance(self):
         # ten random permutations of each of ten random graphs
         import random
