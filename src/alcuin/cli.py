@@ -14,7 +14,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from . import generators, io, oracle
 from .classify import CLASS_TWO, _close_pair, classify_covers
@@ -273,10 +273,25 @@ def survey_enumerate(max_n: int, jobs: int = 1) -> dict[str, Any]:
     }
 
 
+def _stream_records(lines: Iterable[str]) -> Iterator[dict[str, Any]]:
+    """One survey record per nonblank line; a malformed or over-budget line
+    raises its error again with the 1-based line number in front."""
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = _graph_record(io.parse_graph6(line), False)
+        except io.FormatError as exc:
+            raise io.FormatError(f"line {number}: {exc}") from None
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(f"line {number}: {exc}") from None
+        yield record
+
+
 def survey_stream(lines: Iterable[str]) -> dict[str, Any]:
     """Classification-only survey of an external graph6 stream (no oracle)."""
-    graphs = (io.parse_graph6(line) for line in map(str.strip, lines) if line)
-    totals = _merge(_graph_record(g, False) for g in graphs)
+    totals = _merge(_stream_records(lines))
     return {"mode": "stdin", "oracle": False, "per_n": None, "totals": totals}
 
 

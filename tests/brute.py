@@ -2,13 +2,16 @@
 
 These deliberately use different algorithms than the package: covers come
 from subset enumeration by ascending size, girth from per-edge shortest
-paths, alpha from raw combinations.  Small n only.
+paths, alpha from raw combinations, and the ferry search rebuilds every
+state's cargos from scratch.  Small n only.
 """
 
 from collections import deque
 from itertools import combinations
 
 from alcuin import Graph, bits, is_independent, mask_of
+from alcuin.oracle import SearchResult
+from alcuin.schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 
 def brute_min_covers(g: Graph) -> tuple[int, list[int]]:
@@ -179,3 +182,73 @@ def brute_classification_condition(g: Graph, cover: int) -> tuple[int, int] | No
                     if (s_nbrs & t_nbrs).bit_count() <= total:
                         return s_mask, t_mask
     return None
+
+
+def _grown_cargo_choices(adj: tuple[int, ...], bank: int, b: int) -> list[int]:
+    """Cargo subsets of at most b vertices leaving the rest of the bank
+    independent, sorted ascending by size, then mask."""
+    rests = [0]  # independent remainders over the bank vertices seen so far
+    # |bank| - b minus the vertices still to come: the size a remainder must
+    # already have to be filled up to what the boat can leave behind
+    short = -b
+    scan = bank
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        short += 1
+        nbrs = adj[low.bit_length() - 1]
+        grown = [r | low for r in rests if not r & nbrs]
+        if short > 0:
+            grown += [r for r in rests if r.bit_count() >= short]
+        else:
+            grown += rests
+        rests = grown
+    cargos = [bank ^ r for r in rests]
+    cargos.sort()
+    cargos.sort(key=int.bit_count)
+    return cargos
+
+
+def brute_feasible(g: Graph, b: int) -> SearchResult:
+    """Breadth-first ferry search that builds each state's legal cargos from
+    scratch, growing the independent remainders of its departure bank; no
+    search limit."""
+    if b < 0:
+        raise ValueError("negative boat capacity")
+    full = g.full_mask
+    if full == 0:
+        return SearchResult(True, 0, Schedule(b, ()), 0)
+    adj = g.adj
+    goal = full << 1 | 1  # everything on the right, boat with it
+    # parent state of each discovered state; the cargo is (state ^ parent) >> 1.
+    # The start state, everything and the boat on the left, is 0.
+    parents: dict[int, int] = {0: -1}
+    queue = deque([0])
+    expanded = 0
+    found = False
+    while queue and not found:
+        state = queue.popleft()
+        expanded += 1
+        right = state >> 1
+        bank = right if state & 1 else full ^ right
+        crossed = state ^ 1
+        for cargo in _grown_cargo_choices(adj, bank, b):
+            nxt = crossed ^ cargo << 1
+            if nxt in parents:
+                continue
+            parents[nxt] = state
+            if nxt == goal:
+                found = True
+                break
+            queue.append(nxt)
+    if not found:
+        return SearchResult(False, None, None, expanded)
+    moves: list[Move] = []
+    state = goal
+    while state:
+        prev = parents[state]
+        direction = RIGHT_TO_LEFT if prev & 1 else LEFT_TO_RIGHT
+        moves.append(Move(direction, (state ^ prev) >> 1))
+        state = prev
+    moves.reverse()
+    return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)

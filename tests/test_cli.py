@@ -190,6 +190,22 @@ class TestSurvey:
         doc = json.loads(out)
         assert doc["totals"]["graphs"] == 2
 
+    @pytest.mark.parametrize(
+        "lines, code, message",
+        [
+            # blank lines count: the bad line is the third
+            (["Bg", "  ", "!!", "Bw"], 2, "error: line 3: invalid graph6 size byte 33"),
+            (
+                ["Bg", serialize_graph6(gen.complete(17))],
+                3,
+                "error: line 2: cover enumeration for n=17 exceeds the limit 16",
+            ),
+        ],
+    )
+    def test_stdin_error_names_the_line(self, capsys, monkeypatch, lines, code, message):
+        monkeypatch.setattr("sys.stdin", stdio.StringIO("\n".join(lines) + "\n"))
+        assert run(capsys, "survey", "--stdin-graph6") == (code, "", message + "\n")
+
     def test_max_n_capped(self, capsys):
         code, _, _ = run(capsys, "survey", "--max-n", "7")
         assert code == 3

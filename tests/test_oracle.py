@@ -16,7 +16,7 @@ from alcuin import generators as gen
 from alcuin import oracle
 from alcuin.schedule import LEFT_TO_RIGHT as LR
 from alcuin.schedule import RIGHT_TO_LEFT as RL
-from brute import brute_cargo_choices, brute_min_covers, relabel
+from brute import brute_cargo_choices, brute_feasible, brute_min_covers, relabel
 
 P3 = gen.path(3)
 
@@ -68,20 +68,90 @@ class TestFeasible:
 
 
 class TestCargoChoices:
+    """A bank's cargo list, cut from the independent-set table, against the
+    submask walk."""
+
+    @staticmethod
+    def cargos(g, table, bank, b):
+        return [bank ^ j >> 1 for j in table.remainders(g.full_mask, bank, b)]
+
     def test_matches_submask_walk(self):
         for n in range(6):
             for g in gen.all_labeled_graphs(n):
+                table = oracle._SetTable(g)
                 for bank in range(g.full_mask + 1):
-                    for b in range(n + 1):
+                    for b in range(n + 2):
                         expected = brute_cargo_choices(g.adj, bank, b)
-                        assert oracle._cargo_choices(g.adj, bank, b) == expected
+                        assert self.cargos(g, table, bank, b) == expected
+
+    def check_banks(self, g, banks):
+        table = oracle._SetTable(g)
+        for bank in banks:
+            for b in (0, 2, 3, 6, 12):
+                expected = brute_cargo_choices(g.adj, bank, b)
+                assert self.cargos(g, table, bank, b) == expected
 
     def test_order_on_a_larger_bank(self):
-        g = gen.random_graph(12, 0.4, 1)
-        for bank in (g.full_mask, 0b101101101101, 0b111111000000):
-            for b in (0, 3, 6, 12):
-                expected = brute_cargo_choices(g.adj, bank, b)
-                assert oracle._cargo_choices(g.adj, bank, b) == expected
+        self.check_banks(gen.random_graph(12, 0.4, 1), (4095, 0b101101101101, 0b111111000000))
+
+    def test_sparse_slice_on_a_star(self):
+        # at b = 2 the center and five leaves keep 6 of the 1,254 sets in
+        # the slice, and the top six leaves keep 22, the first one among them
+        self.check_banks(gen.star(11), (4095, 0b111111, 0b111111000000, 0b111111111110))
+
+
+class TestReferenceSearch:
+    """feasible against the per-state search it replaced, which rebuilt
+    every state's cargos from scratch (brute.brute_feasible)."""
+
+    def test_every_small_graph_at_every_capacity(self):
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                for b in range(n + 2):
+                    assert feasible(g, b) == brute_feasible(g, b)
+
+    def test_class_two_families(self):
+        for n in range(4, 13):
+            for a in (1, 2, 3):  # K_{1,n-1} is the star
+                g = gen.complete_bipartite(a, n - a)
+                beta = oracle._vertex_cover_number(g.adj, g.full_mask)
+                for b in (beta, beta + 1):
+                    assert feasible(g, b) == brute_feasible(g, b)
+
+    def test_random_graphs(self):
+        for i in range(24):
+            g = gen.random_graph(10 + i % 3, (0.2, 0.35, 0.5)[i // 8], 100 + i)
+            beta = oracle._vertex_cover_number(g.adj, g.full_mask)
+            assert feasible(g, beta) == brute_feasible(g, beta)
+
+
+class TestSharedTable:
+    """alcuin_exact cuts both capacities' cargo lists from one table."""
+
+    @pytest.mark.parametrize(
+        "g, b, expected",
+        [
+            # counts of the per-state search: beta + 1 on class two, beta on
+            # a class-one G(12, .3)
+            (gen.star(11), 2, (True, 21, 4086)),
+            (gen.complete_bipartite(2, 10), 3, (True, 15, 1989)),
+            (gen.random_graph(12, 0.3, 1), 5, (True, 7, 550)),
+        ],
+    )
+    def test_counts(self, g, b, expected):
+        res = feasible(g, b)
+        assert (res.feasible, res.min_crossings, res.states_expanded) == expected
+
+    def test_same_schedule_as_a_fresh_search(self):
+        for n in (10, 11, 12):
+            for g in (
+                gen.random_graph(n, 0.4, n),
+                gen.star(n - 1),
+                gen.complete_bipartite(2, n - 2),
+                gen.complete_bipartite(3, n - 3),
+            ):
+                c, schedule = alcuin_exact(g)
+                assert schedule == feasible(g, c).schedule
 
 
 class TestPinnedSearch:
