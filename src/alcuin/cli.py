@@ -121,13 +121,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         covers = min_covers(g, args.cover_limit)
     except BudgetExceededError as exc:
         raise _CliError(EXIT_BUDGET, str(exc)) from None
-    report = io.build_report(g, classify_covers(g, covers), covers)
+    text = io.report_json(g, classify_covers(g, covers), covers)
     if args.human:
+        report = json.loads(text)
         width = max(len(k) for k in report)
         for key, value in report.items():
             print(f"{key:<{width}}  {json.dumps(value)}")
     else:
-        print(json.dumps(report))
+        print(text)
     return EXIT_OK
 
 
@@ -167,7 +168,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         with open(args.schedule) as fh:
             sched = io.parse_schedule_json(fh.read())
-    except (io.FormatError, OSError) as exc:
+    except (io.FormatError, OSError, UnicodeDecodeError) as exc:
         raise _CliError(EXIT_INPUT, f"cannot read schedule: {exc}") from None
     violation = verify_schedule(g, sched)
     if violation is None:

@@ -3,13 +3,27 @@
 These deliberately use different algorithms than the package: covers come
 from subset enumeration by ascending size, girth from per-edge shortest
 paths, alpha from raw combinations, and the ferry search rebuilds every
-state's cargos from scratch.  Small n only.
+state's cargos from scratch, and the analysis report is a dict of lists
+passed to json.dumps.  Small n only, apart from the report.
 """
 
+import json
 from collections import deque
 from itertools import combinations
 
-from alcuin import Graph, bits, is_independent, mask_of
+from alcuin import (
+    Graph,
+    bits,
+    girth,
+    is_claw_free,
+    is_independent,
+    is_regular,
+    mask_of,
+    vertices_of,
+)
+from alcuin.classify import Classification
+from alcuin.cover import CoverReport
+from alcuin.io import _REASON_KINDS, _witness_fields
 from alcuin.oracle import SearchResult
 from alcuin.schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
@@ -252,3 +266,26 @@ def brute_feasible(g: Graph, b: int) -> SearchResult:
         state = prev
     moves.reverse()
     return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)
+
+
+def brute_report_json(g: Graph, cls: Classification, covers: CoverReport) -> str:
+    """Analysis document built as a dict, each cover a list of ints, then
+    written by json.dumps."""
+    gi = girth(g)
+    report = {
+        "n": g.n,
+        "edges": [[u, v] for u, v in g.edges()],
+        "alpha": g.n - covers.beta,
+        "beta": covers.beta,
+        "covers": [vertices_of(c) for c in covers.covers],
+        "covers_complete": covers.complete,
+        "unique_cover": covers.unique,
+        "girth": "acyclic" if gi is None else gi,
+        "regular": is_regular(g),
+        "claw_free": is_claw_free(g),
+        "class": cls.verdict,
+        "c": cls.c,
+        "reason": _REASON_KINDS[type(cls.reason)],
+        "witness": _witness_fields(cls.reason),
+    }
+    return json.dumps(report)

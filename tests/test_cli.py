@@ -8,8 +8,9 @@ import pytest
 from alcuin import cli
 from alcuin import generators as gen
 from alcuin.cli import main, survey_enumerate, survey_stream
-from alcuin.cover import CoverReport
-from alcuin.io import parse_graph6, schedule_json, serialize_graph6
+from alcuin.classify import classify_covers
+from alcuin.cover import CoverReport, min_covers
+from alcuin.io import parse_graph6, report_json, schedule_json, serialize_graph6
 from alcuin.schedule import synthesize
 
 
@@ -40,6 +41,60 @@ class TestAnalyze:
     def test_human_table(self, capsys):
         code, out, _ = run(capsys, "analyze", "--human", "Bg")
         assert code == 0 and "class" in out and '"one"' in out
+
+    @pytest.mark.parametrize(
+        "spec, table",
+        [
+            (
+                "cycle:4",
+                """\
+n                4
+edges            [[0, 1], [0, 3], [1, 2], [2, 3]]
+alpha            2
+beta             2
+covers           [[0, 2], [1, 3]]
+covers_complete  true
+unique_cover     false
+girth            4
+regular          2
+claw_free        true
+class            "one"
+c                2
+reason           "multiple_covers"
+witness          {"covers": [[0, 2], [1, 3]]}
+""",
+            ),
+            (
+                "star:3",
+                """\
+n                4
+edges            [[0, 1], [0, 2], [0, 3]]
+alpha            3
+beta             1
+covers           [[0]]
+covers_complete  true
+unique_cover     true
+girth            "acyclic"
+regular          null
+claw_free        false
+class            "two"
+c                2
+reason           "condition_holds"
+witness          {"cover": [0]}
+""",
+            ),
+        ],
+    )
+    def test_human_table_pinned(self, capsys, spec, table):
+        code, out, _ = run(capsys, "analyze", "--human", "--gen", spec)
+        assert code == 0 and out == table
+
+    @pytest.mark.parametrize("spec", ["cycle:4", "star:3"])
+    def test_json_is_report_json(self, capsys, spec):
+        g = cli._gen_spec(spec)
+        covers = min_covers(g)
+        code, out, _ = run(capsys, "analyze", "--gen", spec)
+        assert code == 0 and out == report_json(g, classify_covers(g, covers), covers) + "\n"
 
     def test_edge_list_input(self, capsys, tmp_path):
         p = tmp_path / "g.edges"
@@ -156,6 +211,15 @@ class TestVerify:
         p.write_text("{")
         code, _, _ = run(capsys, "verify", str(p), "Bg")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "data", [b"\xff", b"[" * 200000], ids=["not_utf8", "nested_200000_deep"]
+    )
+    def test_hostile_file_exits_2(self, capsys, tmp_path, data):
+        p = tmp_path / "sched.json"
+        p.write_bytes(data)
+        code, out, err = run(capsys, "verify", str(p), "Bg")
+        assert code == 2 and out == "" and err.startswith("error: cannot read schedule")
 
 
 class TestSurvey:

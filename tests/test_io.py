@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from alcuin import Graph, Move, Schedule, classify, min_covers
+from alcuin import Graph, Move, Schedule, classify, classify_covers, min_covers
 from alcuin import generators as gen
 from alcuin.io import (
     _REASON_KINDS,
@@ -17,6 +17,7 @@ from alcuin.io import (
     serialize_graph6,
 )
 from alcuin.schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from brute import brute_report_json
 
 
 class TestGraph6:
@@ -161,11 +162,67 @@ class TestScheduleJson:
             '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [true]}]}',
             '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [64]}]}',
             '{"capacity": 1, "moves": [{"dir": "LR", "cargo": [100000000000000000000]}]}',
+            pytest.param("[" * 200000, id="nested_200000_deep"),
         ],
     )
     def test_malformed_documents(self, doc):
         with pytest.raises(FormatError):
             parse_schedule_json(doc)
+
+
+def _matching(m):
+    return Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+# min_covers' vertex limit, raised so that every graph below fits
+_LIMIT = 64
+
+
+def _assert_same_report(g):
+    covers = min_covers(g, _LIMIT)
+    cls = classify_covers(g, covers)
+    reference = brute_report_json(g, cls, covers)
+    assert report_json(g, cls, covers) == reference
+    assert build_report(g, cls, covers) == json.loads(reference)
+
+
+def _byte_edge_graphs():
+    """Edgeless, complete and perfect-matching graphs at every n where a
+    cover mask gains or fills a byte; matchings while their 2^(n/2) covers
+    stay a short list."""
+    for n in (0, 1, 7, 8, 9, 15, 16, 17, 63, 64):
+        yield pytest.param(gen.edgeless(n), id=f"edgeless{n}")
+        yield pytest.param(gen.complete(n), id=f"complete{n}")
+        if n % 2 == 0 and 0 < n <= 16:
+            yield pytest.param(_matching(n // 2), id=f"matching{n // 2}")
+
+
+class TestReportText:
+    """report_json writes the covers from byte fragments; the reference
+    builds every cover as a list and hands the dict to json.dumps."""
+
+    def test_every_small_labeled_graph(self):
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                _assert_same_report(g)
+
+    @pytest.mark.parametrize("g", list(_byte_edge_graphs()))
+    def test_byte_width_edges(self, g):
+        _assert_same_report(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [_matching(14), gen.hypercube(5), gen.complete_bipartite(11, 23)],
+        ids=["matching14", "Q5", "K11,23"],
+    )
+    def test_large_cover_lists(self, g):
+        _assert_same_report(g)
+
+    def test_high_vertices_in_every_byte(self):
+        # covers that reach into the last byte of a 64-vertex mask
+        g = Graph.from_edges(64, [(0, 63), (8, 55), (31, 32)])
+        assert len(min_covers(g, _LIMIT).covers) == 8
+        _assert_same_report(g)
 
 
 class TestReport:
