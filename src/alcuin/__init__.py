@@ -44,20 +44,17 @@ from .graph import (
     neighbors_in,
     vertices_of,
 )
-from .oracle import SearchResult, alcuin_exact, feasible
-from .schedule import (
+from .ferry import (
     Move,
     Schedule,
     StructureWitness,
     Violation,
-    render_trace,
-    schedule_from_witness,
-    schedule_generic,
     structure_check,
     structure_search,
-    synthesize,
     verify_schedule,
 )
+from .oracle import SearchResult, alcuin_exact, feasible
+from .schedule import render_trace, schedule_from_witness, schedule_generic, synthesize
 
 __all__ = [
     "BudgetExceededError",

@@ -20,8 +20,9 @@ from . import generators, io, oracle
 from .classify import CLASS_TWO, _close_pair, classify_covers
 from .cover import DEFAULT_ENUMERATION_LIMIT, _sparse_subset, min_covers
 from .errors import BudgetExceededError
+from .ferry import Schedule, verify_schedule
 from .graph import Graph, cartesian_product, girth, is_claw_free
-from .schedule import Schedule, render_trace, synthesize, verify_schedule
+from .schedule import render_trace, synthesize
 
 EXIT_OK = 0
 EXIT_FALSIFIED = 1

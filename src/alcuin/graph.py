@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
@@ -137,13 +137,23 @@ def is_independent(g: Graph, x: int) -> bool:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph is a forest.
 
-    Breadth-first search from every vertex; each non-tree edge met at
-    distance d(u), d(v) closes a walk of length d(u)+d(v)+1 through the
-    root, which is a cycle-length upper bound, and the bound is tight for
-    roots lying on a shortest cycle.
+    Girth 3 is an edge uv whose ends share a neighbour; girth 4, in a
+    triangle-free graph, is two vertices with two common neighbours.  Only
+    girth 5 and above needs breadth-first search from every vertex: each
+    non-tree edge met at distance d(u), d(v) closes a walk of length
+    d(u)+d(v)+1 through the root, which is a cycle-length upper bound, and
+    the bound is tight for roots lying on a shortest cycle.
     """
-    best: int | None = None
     adj = g.adj
+    for u in range(g.n):
+        for v in bits(adj[u] >> (u + 1) << (u + 1)):
+            if adj[u] & adj[v]:
+                return 3
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if (adj[u] & adj[v]).bit_count() >= 2:
+                return 4
+    best: int | None = None
     for src in range(g.n):
         dist = [-1] * g.n
         parent = [-1] * g.n
@@ -167,14 +177,22 @@ def girth(g: Graph) -> int | None:
 
 
 def is_claw_free(g: Graph) -> bool:
-    """True iff no vertex has three pairwise non-adjacent neighbors."""
+    """True iff no vertex has three pairwise non-adjacent neighbors.
+
+    For each neighbour a of v, `far` holds the neighbours of v above a that
+    are not adjacent to a; a claw a < b < c exists iff some b in far has a
+    non-neighbour c in far above b.
+    """
+    adj = g.adj
     for v in range(g.n):
-        nb = vertices_of(g.adj[v])
-        if len(nb) < 3:
+        nb = adj[v]
+        if nb.bit_count() < 3:
             continue
-        for a, b, c in combinations(nb, 3):
-            if not (g.adj[a] >> b & 1 or g.adj[a] >> c & 1 or g.adj[b] >> c & 1):
-                return False
+        for a in bits(nb):
+            far = nb & ~adj[a] >> (a + 1) << (a + 1)
+            for b in bits(far):
+                if far & ~adj[b] >> (b + 1) << (b + 1):
+                    return False
     return True
 
 

@@ -27,7 +27,7 @@ from .classify import (
 )
 from .cover import CoverReport
 from .graph import MAX_VERTICES, Graph, girth, is_claw_free, is_regular, vertices_of
-from .schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
+from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 
 class FormatError(ValueError):

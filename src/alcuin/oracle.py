@@ -30,8 +30,9 @@ limit=64)`` builds 32,769 sets to expand a handful of states, about 40 ms
 where a per-state search took 0.5 ms.
 
 The oracle is the independent side of every cross-check, so it shares no
-code with the cover or classifier modules: alcuin_exact computes its own
-vertex cover number.
+code with the cover, classifier or construction modules: its whole import
+closure is `graph`, `errors` and `ferry` (the rules of a crossing), and
+alcuin_exact computes its own vertex cover number.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from itertools import compress, repeat
 
 from .errors import BudgetExceededError
 from .graph import Graph
-from .schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
+from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 DEFAULT_SEARCH_LIMIT = 12
 

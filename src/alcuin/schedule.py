@@ -1,117 +1,19 @@
-"""Ferry schedules: verification, constructive synthesis, structure witnesses.
+"""Ferry schedules built from the classification: generic, witness, synthesized.
 
-A schedule is a sequence of boat crossings.  The boat starts on the left,
-directions alternate, and the bank the ferryman leaves behind must be
-conflict-free (independent) the moment the boat departs.  Conflicts inside
-the boat are legal: the ferryman keeps the cargo apart.  Constructive
-schedules here favor simplicity over crossing count; only the search oracle
-produces shortest schedules.
+The rules a schedule must keep, its verifier and the five-set witnesses
+live in `ferry`; this module builds schedules that satisfy them and renders
+them as text.  Constructive schedules here favor simplicity over crossing
+count; only the search oracle produces shortest schedules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .classify import PairWitness, _pair_scan
 from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, min_covers
-from .errors import BudgetExceededError
+from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, verify_schedule
 from .graph import Graph, bits, is_independent, mask_of, neighbors_in, vertices_of
-
-LEFT_TO_RIGHT = "LR"
-RIGHT_TO_LEFT = "RL"
-
-CARGO_TOO_BIG = "cargo_too_big"
-CARGO_NOT_ON_BANK = "cargo_not_on_bank"
-BANK_CONFLICT = "bank_conflict"
-NOT_ALL_TRANSPORTED = "not_all_transported"
-WRONG_DIRECTION = "wrong_direction"
-
-
-@dataclass(frozen=True)
-class Move:
-    direction: str
-    cargo: int
-
-
-@dataclass(frozen=True)
-class Schedule:
-    capacity: int
-    moves: tuple[Move, ...]
-
-    def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError("negative boat capacity")
-
-
-@dataclass(frozen=True)
-class Violation:
-    """First rule broken by a schedule; step indexes moves from 0, with
-    step == len(moves) marking the terminal all-transported check."""
-
-    step: int
-    kind: str
-    u: int | None = None
-    v: int | None = None
-
-
-@dataclass(frozen=True)
-class StructureWitness:
-    """Five sets certifying feasibility at capacity b.
-
-    x1, x2, x3 partition an independent set X; y1, y2 are nonempty subsets
-    of Y = V - X with |Y| <= b; x1|y1 and x2|y2 are independent; and
-    |y1| + |y2| >= |x3|.
-    """
-
-    x1: int
-    x2: int
-    x3: int
-    y1: int
-    y2: int
-    b: int
-
-
-def _first_conflict(g: Graph, bank: int) -> tuple[int, int] | None:
-    for u in bits(bank):
-        m = g.adj[u] & bank
-        if m:
-            return u, (m & -m).bit_length() - 1
-    return None
-
-
-def verify_schedule(g: Graph, sched: Schedule) -> Violation | None:
-    """Simulate a schedule; None when feasible, else the first violation.
-
-    Checks, per move: alternation starting left-to-right, cargo drawn from
-    the boat-side bank, cargo within capacity, and independence of the
-    departure bank once the cargo is aboard.  The far bank was independent
-    when last left and has not changed, so it needs no re-check.
-    """
-    full = g.full_mask
-    left, right = full, 0
-    expected = LEFT_TO_RIGHT
-    for step, move in enumerate(sched.moves):
-        if move.direction != expected:
-            return Violation(step, WRONG_DIRECTION)
-        bank = left if expected == LEFT_TO_RIGHT else right
-        if move.cargo < 0 or move.cargo & ~bank:
-            return Violation(step, CARGO_NOT_ON_BANK)
-        if move.cargo.bit_count() > sched.capacity:
-            return Violation(step, CARGO_TOO_BIG)
-        rest = bank ^ move.cargo
-        conflict = _first_conflict(g, rest)
-        if conflict is not None:
-            return Violation(step, BANK_CONFLICT, conflict[0], conflict[1])
-        if expected == LEFT_TO_RIGHT:
-            left, right = rest, right | move.cargo
-            expected = RIGHT_TO_LEFT
-        else:
-            left, right = left | move.cargo, rest
-            expected = LEFT_TO_RIGHT
-    if right != full:
-        return Violation(len(sched.moves), NOT_ALL_TRANSPORTED)
-    return None
 
 
 def schedule_generic(g: Graph, cover: int) -> Schedule:
@@ -231,82 +133,6 @@ def synthesize(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Schedu
     if not report.unique:
         raise RuntimeError("pair scan found no witness on a cover that is not unique")
     return _generic(g, cover)
-
-
-def structure_check(g: Graph, w: StructureWitness) -> bool:
-    """Evaluate the four feasibility conditions on a five-set witness."""
-    full = g.full_mask
-    for mask in (w.x1, w.x2, w.x3, w.y1, w.y2):
-        if mask < 0 or mask & ~full:
-            raise ValueError("witness set contains vertices outside the graph")
-    if w.x1 & w.x2 or w.x1 & w.x3 or w.x2 & w.x3:
-        return False
-    x = w.x1 | w.x2 | w.x3
-    if not is_independent(g, x):
-        return False
-    y = full ^ x
-    if w.y1 == 0 or w.y2 == 0 or (w.y1 | w.y2) & ~y or y.bit_count() > w.b:
-        return False
-    if not is_independent(g, w.x1 | w.y1) or not is_independent(g, w.x2 | w.y2):
-        return False
-    return w.y1.bit_count() + w.y2.bit_count() >= w.x3.bit_count()
-
-
-def structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | None:
-    """Exhaustive search for a five-set witness at capacity b.
-
-    Scans independent X with |V - X| <= b in ascending mask order, the 3^|X|
-    ordered partitions (base-3 digits, lowest vertex least significant), and
-    nonempty Y1, Y2 in ascending submask order; first hit wins.
-    """
-    if b < 1:
-        raise ValueError("capacity must be at least 1")
-    if g.n > limit:
-        raise BudgetExceededError(f"structure search for n={g.n} exceeds the limit {limit}")
-    full = g.full_mask
-    adj = g.adj
-    for x in range(full + 1):
-        if (full ^ x).bit_count() > b or not is_independent(g, x):
-            continue
-        y = full ^ x
-        if y == 0:
-            continue
-        ycount = y.bit_count()
-        ysubs = []
-        sub = 0
-        while True:
-            sub = (sub - y) & y
-            if sub == 0:
-                break
-            if is_independent(g, sub):
-                nbrs = 0
-                for v in bits(sub):
-                    nbrs |= adj[v]
-                ysubs.append((sub, sub.bit_count(), nbrs))
-        xs = vertices_of(x)
-        for code in range(3 ** len(xs)):
-            x1 = x2 = x3 = 0
-            c = code
-            for v in xs:
-                part = c % 3
-                c //= 3
-                if part == 0:
-                    x1 |= 1 << v
-                elif part == 1:
-                    x2 |= 1 << v
-                else:
-                    x3 |= 1 << v
-            need = x3.bit_count()
-            if need > 2 * ycount:
-                continue
-            for y1, c1, n1 in ysubs:
-                if n1 & x1:
-                    continue
-                for y2, c2, n2 in ysubs:
-                    if n2 & x2 or c1 + c2 < need:
-                        continue
-                    return StructureWitness(x1, x2, x3, y1, y2, b)
-    return None
 
 
 def render_trace(g: Graph, sched: Schedule, labels: Sequence[str] | None = None) -> str:

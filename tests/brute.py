@@ -2,9 +2,10 @@
 
 These deliberately use different algorithms than the package: covers come
 from subset enumeration by ascending size, girth from per-edge shortest
-paths, alpha from raw combinations, and the ferry search rebuilds every
-state's cargos from scratch, and the analysis report is a dict of lists
-passed to json.dumps.  Small n only, apart from the report.
+paths, alpha and claw-freeness from raw combinations, the ferry search
+rebuilds every state's cargos from scratch, the five-set search tries every
+partition of X, and the analysis report is a dict of lists passed to
+json.dumps.  Small n only, apart from the report.
 """
 
 import json
@@ -13,6 +14,7 @@ from itertools import combinations
 
 from alcuin import (
     Graph,
+    StructureWitness,
     bits,
     girth,
     is_claw_free,
@@ -23,9 +25,10 @@ from alcuin import (
 )
 from alcuin.classify import Classification
 from alcuin.cover import CoverReport
+from alcuin.errors import BudgetExceededError
+from alcuin.ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 from alcuin.io import _REASON_KINDS, _witness_fields
 from alcuin.oracle import SearchResult
-from alcuin.schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 
 def brute_min_covers(g: Graph) -> tuple[int, list[int]]:
@@ -70,6 +73,19 @@ def brute_girth(g: Graph) -> int | None:
             if best is None or cycle < best:
                 best = cycle
     return best
+
+
+def brute_is_claw_free(g: Graph) -> bool:
+    """No vertex has three pairwise non-adjacent neighbors, by trying every
+    neighbour triple."""
+    for v in range(g.n):
+        nb = vertices_of(g.adj[v])
+        if len(nb) < 3:
+            continue
+        for a, b, c in combinations(nb, 3):
+            if not (g.adj[a] >> b & 1 or g.adj[a] >> c & 1 or g.adj[b] >> c & 1):
+                return False
+    return True
 
 
 def is_connected(g: Graph) -> bool:
@@ -289,3 +305,60 @@ def brute_report_json(g: Graph, cls: Classification, covers: CoverReport) -> str
         "witness": _witness_fields(cls.reason),
     }
     return json.dumps(report)
+
+
+def brute_structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | None:
+    """Exhaustive search for a five-set witness at capacity b.
+
+    Scans independent X with |V - X| <= b in ascending mask order, the 3^|X|
+    ordered partitions (base-3 digits, lowest vertex least significant), and
+    nonempty Y1, Y2 in ascending submask order; first hit wins.
+    """
+    if b < 1:
+        raise ValueError("capacity must be at least 1")
+    if g.n > limit:
+        raise BudgetExceededError(f"structure search for n={g.n} exceeds the limit {limit}")
+    full = g.full_mask
+    adj = g.adj
+    for x in range(full + 1):
+        if (full ^ x).bit_count() > b or not is_independent(g, x):
+            continue
+        y = full ^ x
+        if y == 0:
+            continue
+        ycount = y.bit_count()
+        ysubs = []
+        sub = 0
+        while True:
+            sub = (sub - y) & y
+            if sub == 0:
+                break
+            if is_independent(g, sub):
+                nbrs = 0
+                for v in bits(sub):
+                    nbrs |= adj[v]
+                ysubs.append((sub, sub.bit_count(), nbrs))
+        xs = vertices_of(x)
+        for code in range(3 ** len(xs)):
+            x1 = x2 = x3 = 0
+            c = code
+            for v in xs:
+                part = c % 3
+                c //= 3
+                if part == 0:
+                    x1 |= 1 << v
+                elif part == 1:
+                    x2 |= 1 << v
+                else:
+                    x3 |= 1 << v
+            need = x3.bit_count()
+            if need > 2 * ycount:
+                continue
+            for y1, c1, n1 in ysubs:
+                if n1 & x1:
+                    continue
+                for y2, c2, n2 in ysubs:
+                    if n2 & x2 or c1 + c2 < need:
+                        continue
+                    return StructureWitness(x1, x2, x3, y1, y2, b)
+    return None

@@ -16,7 +16,7 @@ from alcuin import (
     vertices_of,
 )
 from alcuin import generators as gen
-from brute import brute_girth
+from brute import brute_girth, brute_is_claw_free
 
 
 def test_mask_helpers_roundtrip():
@@ -156,6 +156,19 @@ class TestGirth:
             for g in gen.all_labeled_graphs(n):
                 assert girth(g) == brute_girth(g)
 
+    @pytest.mark.parametrize(
+        "g, expected",
+        [
+            (gen.cycle(20), 20),
+            (gen.hypercube(6), 4),
+            (gen.complete_bipartite(11, 23), 4),
+            (gen.star(30), None),
+            (gen.path(10), None),
+        ],
+    )
+    def test_named_graphs_match_reference(self, g, expected):
+        assert girth(g) == brute_girth(g) == expected
+
     def test_finite_girth_bounds(self):
         for g in gen.all_labeled_graphs(5):
             got = girth(g)
@@ -181,6 +194,18 @@ class TestClawFree:
     def test_paths_and_cycles(self):
         assert is_claw_free(gen.path(6))
         assert is_claw_free(gen.cycle(7))
+
+    def test_agrees_with_reference_exhaustively(self):
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                assert is_claw_free(g) == brute_is_claw_free(g)
+
+    @pytest.mark.parametrize(
+        "g, expected",
+        [(gen.complete(40), True), (gen.complete(64), True), (gen.star(30), False)],
+    )
+    def test_dense_and_star_match_reference(self, g, expected):
+        assert is_claw_free(g) == brute_is_claw_free(g) == expected
 
 
 class TestRegular:

@@ -16,7 +16,7 @@ from alcuin.io import (
     serialize_edge_list,
     serialize_graph6,
 )
-from alcuin.schedule import LEFT_TO_RIGHT, RIGHT_TO_LEFT
+from alcuin.ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from brute import brute_report_json
 
 
