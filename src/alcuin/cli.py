@@ -61,7 +61,7 @@ def _gen_spec(spec: str) -> Graph:
         if name in ("overlapping-stars", "paper-family"):
             return generators.overlapping_stars(int(args[0]))
         if name == "pruefer":
-            seq = [int(a) for a in args if a != ""]
+            seq = [int(a) for a in args]
             return generators.tree_from_pruefer(seq)
         if name == "product":
             g6a, g6b = rest.split(",", 1)

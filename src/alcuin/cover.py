@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from .errors import BudgetExceededError
-from .graph import Graph, bits, vertices_of
+from .graph import Graph, bits, is_independent, vertices_of
 
 DEFAULT_ENUMERATION_LIMIT = 16
 
@@ -147,11 +147,7 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
 
 def is_vertex_cover(g: Graph, mask: int) -> bool:
     """True iff every edge of g has at least one endpoint in mask."""
-    out = g.full_mask & ~mask
-    for v in bits(out):
-        if g.adj[v] & out:
-            return False
-    return True
+    return is_independent(g, g.full_mask & ~mask)
 
 
 def check_minimum_cover(g: Graph, mask: int) -> None:

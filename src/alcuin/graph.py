@@ -103,7 +103,6 @@ class Graph:
             m = self.adj[v] >> (v + 1) << (v + 1)
             for u in bits(m):
                 out.append((v, u))
-        out.sort()
         return out
 
     def edge_count(self) -> int:

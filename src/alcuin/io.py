@@ -4,13 +4,13 @@ Only short-form graph6 is supported (n <= 62, one-byte size field); extended
 headers are rejected outright.  JSON documents use a fixed key order and
 sorted arrays so identical inputs always produce identical bytes.
 
-`report_json` is the one encoder of the analysis document; `build_report`
-is the parse of its text.  It writes the "covers" array without a list of
-ints per cover: each cover mask is split into bytes, and each byte looks up
-its text (", 8, 10" for vertices 8 and 10) in a table for its byte
-position, filled on first use within the call.  On the perfect matching
-with 16 edges, the 65,536 covers are written in about 64 ms, against about
-360 ms through per-cover lists and json.dumps (Python 3.11, 2-core machine).
+`report_json` is the one encoder of the analysis document.  It writes the
+"covers" array without a list of ints per cover: each cover mask is split
+into bytes, and each byte looks up its text (", 8, 10" for vertices 8 and
+10) in a table for its byte position, filled on first use within the call.
+On the perfect matching with 16 edges, the 65,536 covers are written in
+about 64 ms, against about 360 ms through per-cover lists and json.dumps
+(Python 3.11, 2-core machine).
 """
 
 from __future__ import annotations
@@ -255,8 +255,3 @@ def report_json(g: Graph, cls: Classification, covers: CoverReport) -> str:
         }
     )
     return f'{head[:-1]}, "covers": {_covers_text(g.n, covers.covers)}, {tail[1:]}'
-
-
-def build_report(g: Graph, cls: Classification, covers: CoverReport) -> dict[str, Any]:
-    """The analysis document as a dict: the parse of report_json's text."""
-    return json.loads(report_json(g, cls, covers))

@@ -32,7 +32,8 @@ where a per-state search took 0.5 ms.
 The oracle is the independent side of every cross-check, so it shares no
 code with the cover, classifier or construction modules: its whole import
 closure is `graph`, `errors` and `ferry` (the rules of a crossing), and
-alcuin_exact computes its own vertex cover number.
+alcuin_exact computes its own vertex cover number, n minus the size of the
+first (largest) set in its table.
 """
 
 from __future__ import annotations
@@ -183,25 +184,6 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)
 
 
-def _vertex_cover_number(adj: tuple[int, ...], rest: int) -> int:
-    """Smallest vertex cover of the subgraph induced by rest.
-
-    Takes the lowest vertex v with a neighbour in rest: a cover contains
-    either v or all of v's neighbours.
-    """
-    while rest:
-        low = rest & -rest
-        nbrs = adj[low.bit_length() - 1] & rest
-        if nbrs:
-            break
-        rest ^= low
-    else:
-        return 0
-    with_v = 1 + _vertex_cover_number(adj, rest ^ low)
-    with_nbrs = nbrs.bit_count() + _vertex_cover_number(adj, rest & ~(nbrs | low))
-    return min(with_v, with_nbrs)
-
-
 def alcuin_exact(
     g: Graph, limit: int = DEFAULT_SEARCH_LIMIT, beta: int | None = None
 ) -> tuple[int, Schedule]:
@@ -210,26 +192,23 @@ def alcuin_exact(
     Tries b = max(beta, 1) first (capacity 0 moves nothing, so c >= 1 for
     n >= 1); on failure b+1 must succeed, which the cover-rides-along
     construction guarantees, and a miss there aborts loudly.  Both searches
-    cut their cargo lists from one independent-set table.  beta is always
-    computed here; a passed beta that differs from it raises ValueError.
+    cut their cargo lists from one independent-set table, and beta is read
+    off it: its first set is a largest one, so beta = n - alpha.  A passed
+    beta that differs from it raises ValueError.
     """
     if g.n:  # the empty graph needs no search, so no limit applies to it
         _check_limit(g, limit)
-    own_beta = _vertex_cover_number(g.adj, g.full_mask)
+    table = _SetTable(g)
+    own_beta = g.n - table.sets[0].bit_count()
     if beta is not None and beta != own_beta:
         raise ValueError(f"beta={beta} is not the vertex cover number {own_beta}")
     if g.n == 0:
         return 0, Schedule(0, ())
     b = max(own_beta, 1)
-    table = _SetTable(g)
-    result = _search(g, b, table)
-    if result.feasible:
-        assert result.schedule is not None
-        return b, result.schedule
-    result = _search(g, b + 1, table)
-    if not result.feasible:
-        raise RuntimeError(
-            f"no schedule at capacity {b + 1} despite the beta+1 guarantee (n={g.n})"
-        )
-    assert result.schedule is not None
-    return b + 1, result.schedule
+    for capacity in (b, b + 1):
+        result = _search(g, capacity, table)
+        if result.schedule is not None:
+            return capacity, result.schedule
+    raise RuntimeError(
+        f"no schedule at capacity {b + 1} despite the beta+1 guarantee (n={g.n})"
+    )

@@ -47,15 +47,6 @@ def _batches(mask: int, size: int) -> Iterator[int]:
         yield mask_of(vs[i : i + size])
 
 
-def _lowest_bits(mask: int, k: int) -> int:
-    out = 0
-    for _ in range(k):
-        low = mask & -mask
-        out |= low
-        mask ^= low
-    return out
-
-
 def schedule_from_witness(g: Graph, cover: int, s: int, t: int) -> Schedule:
     """Capacity-beta schedule from a class-one pair witness.
 
@@ -91,7 +82,7 @@ def _from_witness(g: Graph, cover: int, s: int, t: int) -> Schedule:
     for batch in _batches(outside & ~ns, s.bit_count()):
         moves.append(Move(LEFT_TO_RIGHT, (cover ^ s) | batch))
         moves.append(Move(RIGHT_TO_LEFT, cover ^ s))
-    first = _lowest_bits(common, min(s.bit_count(), common.bit_count()))
+    first = next(_batches(common, s.bit_count()), 0)
     moves.append(Move(LEFT_TO_RIGHT, (cover ^ s) | first))
     moves.append(Move(RIGHT_TO_LEFT, cover))
     last = common ^ first

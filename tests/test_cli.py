@@ -404,14 +404,19 @@ class TestGenerate:
         code, out, _ = run(capsys, "generate", "pruefer:0,0")
         assert code == 0
         assert parse_graph6(out.strip()) == gen.tree_from_pruefer([0, 0])
+        code, out, _ = run(capsys, "generate", "pruefer:")
+        assert code == 0
+        assert parse_graph6(out.strip()) == gen.path(2)
 
     def test_unknown_family_exits_2(self, capsys):
         code, _, _ = run(capsys, "generate", "moebius:5")
         assert code == 2
 
     def test_bad_arity_exits_2(self, capsys):
-        code, _, _ = run(capsys, "generate", "star:")
-        assert code == 2
+        # an empty field is a bad argument, not a skipped one
+        for spec in ("star:", "pruefer:1,,2", "pruefer:0,0,"):
+            code, _, _ = run(capsys, "generate", spec)
+            assert code == 2, spec
 
 
 @pytest.mark.parametrize(

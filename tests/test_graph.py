@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -50,6 +51,11 @@ class TestGraphConstruction:
         assert g.adj == (0b010, 0b101, 0b010)
         assert g.edges() == [(0, 1), (1, 2)]
         assert g.edge_count() == 2
+        # ascending pairs, read straight off adj
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                pairs = combinations(range(n), 2)
+                assert g.edges() == [(u, v) for u, v in pairs if g.adj[u] >> v & 1]
 
     def test_duplicate_edges_collapse(self):
         g = Graph.from_edges(2, [(0, 1), (1, 0), (0, 1)])

@@ -114,14 +114,14 @@ class TestReferenceSearch:
         for n in range(4, 13):
             for a in (1, 2, 3):  # K_{1,n-1} is the star
                 g = gen.complete_bipartite(a, n - a)
-                beta = oracle._vertex_cover_number(g.adj, g.full_mask)
+                beta, _ = brute_min_covers(g)
                 for b in (beta, beta + 1):
                     assert feasible(g, b) == brute_feasible(g, b)
 
     def test_random_graphs(self):
         for i in range(24):
             g = gen.random_graph(10 + i % 3, (0.2, 0.35, 0.5)[i // 8], 100 + i)
-            beta = oracle._vertex_cover_number(g.adj, g.full_mask)
+            beta, _ = brute_min_covers(g)
             assert feasible(g, beta) == brute_feasible(g, beta)
 
 
@@ -254,14 +254,29 @@ class TestAlcuinExact:
             assert beta <= c <= beta + 1
 
     def test_own_vertex_cover_number(self):
+        # the beta read off the table is the only one a hint may name
         for n in range(6):
             for g in gen.all_labeled_graphs(n):
                 beta, _ = brute_min_covers(g)
-                assert oracle._vertex_cover_number(g.adj, g.full_mask) == beta
+                alcuin_exact(g, beta=beta)
+                with pytest.raises(ValueError):
+                    alcuin_exact(g, beta=beta + 1)
 
     def test_budget_checked_before_beta(self):
         with pytest.raises(BudgetExceededError):
             alcuin_exact(gen.random_graph(64, 0.5, 3))
+
+    def test_budget_checked_before_table(self, monkeypatch):
+        # G(64, .5) has only ~23k independent sets, so the test above passes
+        # either way; edgeless(n) has 2^n, and its table must never be built
+        def unreachable(g):
+            raise AssertionError("independent-set table built over the limit")
+
+        monkeypatch.setattr(oracle, "_SetTable", unreachable)
+        with pytest.raises(BudgetExceededError):
+            alcuin_exact(gen.edgeless(13))
+        with pytest.raises(BudgetExceededError):
+            feasible(gen.edgeless(13), 1)
 
     def test_beta_hint_matches(self):
         for seed in range(10):
