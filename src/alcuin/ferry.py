@@ -7,8 +7,10 @@ the boat are legal: the ferryman keeps the cargo apart.
 
 This is the trusted core both sides of every cross-check rely on: the
 constructions in `schedule` and the BFS in `oracle` produce schedules that
-`verify_schedule` judges.  It imports only `graph` and `errors`, so no
-cover, classifier or construction code is in the oracle's import closure.
+`verify_schedule` judges.  It also holds the one enumerator of independent
+sets, which the BFS in `oracle` and the five-set search both use.  It
+imports only `graph` and `errors`, so no cover, classifier or construction
+code is in the oracle's import closure.
 """
 
 from __future__ import annotations
@@ -133,6 +135,20 @@ def structure_check(g: Graph, w: StructureWitness) -> bool:
     return w.y1.bit_count() + w.y2.bit_count() >= w.x3.bit_count()
 
 
+def _independent_sets(adj: tuple[int, ...], vertices: int) -> list[int]:
+    """Every independent subset of vertices, 0 included, ascending: a
+    vertex joins a set only if none of its neighbours is already in it.
+    Vertices join lowest first, so every set a vertex adds has a bit above
+    every bit of the sets before it, and the list stays in mask order."""
+    sets = [0]
+    while vertices:
+        low = vertices & -vertices
+        vertices ^= low
+        nbrs = adj[low.bit_length() - 1]
+        sets += [s | low for s in sets if not s & nbrs]
+    return sets
+
+
 def structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | None:
     """Exhaustive search for a five-set witness at capacity b.
 
@@ -154,23 +170,16 @@ def structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | No
         raise BudgetExceededError(f"structure search for n={g.n} exceeds the limit {limit}")
     full = g.full_mask
     adj = g.adj
-    for x in range(full + 1):
-        if (full ^ x).bit_count() > b or not is_independent(g, x):
-            continue
+    for x in _independent_sets(adj, full):
         y = full ^ x
-        if y == 0:
+        if y.bit_count() > b:
             continue
         ysubs = []
-        sub = 0
-        while True:
-            sub = (sub - y) & y
-            if sub == 0:
-                break
-            if is_independent(g, sub):
-                nbrs = 0
-                for v in bits(sub):
-                    nbrs |= adj[v]
-                ysubs.append((sub, sub.bit_count(), nbrs))
+        for sub in _independent_sets(adj, y)[1:]:
+            nbrs = 0
+            for v in bits(sub):
+                nbrs |= adj[v]
+            ysubs.append((sub, sub.bit_count(), nbrs))
         for i, (y1, c1, n1) in enumerate(ysubs):
             hit1 = x & n1
             for y2, c2, n2 in ysubs[i:]:

@@ -13,7 +13,8 @@ left once with the boat on the left and, in another state, once with it on
 the right, and both times its legal cargos are B ^ J for every independent
 J within B with |J| >= |B| - b.  So one search lists a bank's cargos once,
 on the first state that leaves it, and reuses the list.  Each list is cut
-from one table of every independent set of the graph, held as ``J << 1``
+from one table of every independent set of the graph (from the enumerator
+in `ferry` that the five-set search also walks), held as ``J << 1``
 in descending (size, mask) order: sizes |B| - b to |B| are one slice, the
 sets that meet the other bank are dropped by one OR of per-vertex
 membership bitmaps, and what is left is already in ascending cargo order,
@@ -44,7 +45,7 @@ from itertools import compress, repeat
 
 from .errors import BudgetExceededError
 from .graph import Graph
-from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
+from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, _independent_sets
 
 DEFAULT_SEARCH_LIMIT = 12
 
@@ -59,18 +60,6 @@ class SearchResult:
     min_crossings: int | None
     schedule: Schedule | None
     states_expanded: int
-
-
-def _independent_sets(adj: tuple[int, ...], vertices: int) -> list[int]:
-    """Every independent subset of vertices, grown one vertex at a time: a
-    vertex joins a set only if none of its neighbours is already in it."""
-    sets = [0]
-    while vertices:
-        low = vertices & -vertices
-        vertices ^= low
-        nbrs = adj[low.bit_length() - 1]
-        sets += [s | low for s in sets if not s & nbrs]
-    return sets
 
 
 class _SetTable:

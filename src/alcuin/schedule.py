@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 from .classify import PairWitness, _pair_scan
 from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, min_covers
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, verify_schedule
-from .graph import Graph, bits, is_independent, mask_of, neighbors_in, vertices_of
+from .graph import Graph, bits, is_independent, neighbors_in, vertices_of
 
 
 def schedule_generic(g: Graph, cover: int) -> Schedule:
@@ -31,8 +31,6 @@ def _generic(g: Graph, cover: int) -> Schedule:
     """schedule_generic on a cover the caller knows to be minimum."""
     rest = vertices_of(g.full_mask & ~cover)
     moves: list[Move] = []
-    if not rest and g.n > 0:
-        moves.append(Move(LEFT_TO_RIGHT, cover))
     for i, x in enumerate(rest):
         if i:
             moves.append(Move(RIGHT_TO_LEFT, cover))
@@ -41,10 +39,14 @@ def _generic(g: Graph, cover: int) -> Schedule:
 
 
 def _batches(mask: int, size: int) -> Iterator[int]:
-    """Split a vertex set into ascending chunks of at most `size` items."""
-    vs = vertices_of(mask)
-    for i in range(0, len(vs), size):
-        yield mask_of(vs[i : i + size])
+    """Split a vertex set into ascending chunks, each its lowest `size` bits
+    left; size must be at least 1, or the loop never ends."""
+    while mask:
+        rest = mask
+        for _ in range(size):
+            rest &= rest - 1
+        yield mask ^ rest
+        mask = rest
 
 
 def schedule_from_witness(g: Graph, cover: int, s: int, t: int) -> Schedule:

@@ -2,6 +2,9 @@ import hashlib
 import io as stdio
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from alcuin.cli import main, survey_enumerate, survey_stream
 from alcuin.classify import classify_covers
 from alcuin.cover import CoverReport, min_covers
 from alcuin.io import parse_graph6, report_json, schedule_json, serialize_graph6
+from alcuin.oracle import alcuin_exact
 from alcuin.schedule import synthesize
 
 
@@ -151,6 +155,17 @@ class TestSchedule:
         assert code == 4
         code, _, _ = run(capsys, "schedule", "Bg", "--capacity", "0", "--shortest")
         assert code == 4
+
+    def test_shortest_with_automatic_capacity(self, capsys):
+        code, out, _ = run(capsys, "schedule", "Bg", "--shortest")
+        assert code == 0
+        assert out == schedule_json(alcuin_exact(parse_graph6("Bg"))[1]) + "\n"
+        doc = json.loads(out)
+        assert doc["capacity"] == 1 and len(doc["moves"]) == 7
+
+    def test_shortest_over_the_search_limit_exits_3(self, capsys):
+        code, _, err = run(capsys, "schedule", "--gen", "star:13", "--shortest")
+        assert code == 3 and "exceeds the limit 12" in err
 
     def test_extra_capacity_is_fine(self, capsys):
         code, out, _ = run(capsys, "schedule", "Bg", "--capacity", "2")
@@ -408,6 +423,11 @@ class TestGenerate:
         assert code == 0
         assert parse_graph6(out.strip()) == gen.path(2)
 
+    def test_too_large_for_graph6_exits_2(self, capsys):
+        # graph6 short form stops at 62 vertices; Q6 has 64
+        code, _, err = run(capsys, "generate", "hypercube:6")
+        assert code == 2 and "62 vertices" in err
+
     def test_unknown_family_exits_2(self, capsys):
         code, _, _ = run(capsys, "generate", "moebius:5")
         assert code == 2
@@ -443,6 +463,21 @@ def test_zero_limits_are_accepted(capsys):
     assert code == 3 and "exceeds the limit 0" in err
     code, _, _ = run(capsys, "survey", "--max-n", "0")
     assert code == 0
+
+
+def test_module_entry_point():
+    # `python -m alcuin.cli` runs entry() under the __main__ guard
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    done = subprocess.run(
+        [sys.executable, "-m", "alcuin.cli", "generate", "star:3"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "Cs\n")
 
 
 def test_usage_error_exits_2(capsys):

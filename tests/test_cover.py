@@ -218,6 +218,8 @@ class TestHallStrict:
     def test_rejects_non_cover(self):
         with pytest.raises(ValueError):
             hall_strict(gen.path(3), mask_of([0]))
+        with pytest.raises(ValueError, match="outside the graph"):
+            hall_strict(gen.path(3), mask_of([3]))
 
     def test_rejects_non_minimum_cover(self):
         with pytest.raises(ValueError):

@@ -81,6 +81,10 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(65, (0,) * 65)
 
+    def test_adjacency_length_checked(self):
+        with pytest.raises(ValueError, match="adjacency length"):
+            Graph(2, (0,))
+
     def test_empty_graph_is_legal(self):
         g = Graph(0, ())
         assert g.full_mask == 0

@@ -52,6 +52,8 @@ class TestGraph6:
     def test_out_of_range_byte(self):
         with pytest.raises(FormatError):
             parse_graph6("B" + chr(32))
+        with pytest.raises(FormatError, match="outside 63..126"):
+            parse_graph6("B!")
 
     def test_nonzero_padding_rejected(self):
         # n=3 uses 3 of 6 payload bits; 'y' = 111010 has padding bit set
@@ -101,6 +103,12 @@ class TestEdgeList:
     def test_non_integer(self):
         with pytest.raises(FormatError, match="line 3"):
             parse_edge_list("n 2\n0 1\nx y")
+        with pytest.raises(FormatError, match="line 1: bad vertex count"):
+            parse_edge_list("n x\n")
+
+    def test_edge_line_needs_two_fields(self):
+        with pytest.raises(FormatError, match="line 2: expected 'u v'"):
+            parse_edge_list("n 3\n0 1 2\n")
 
     def test_vertex_count_capped_before_allocation(self):
         # a huge header must fail on the count, not on allocating n slots

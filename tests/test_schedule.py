@@ -96,6 +96,10 @@ class TestVerify:
         sched = Schedule(2, (Move(LEFT_TO_RIGHT, 0b11),))
         assert verify_schedule(g, sched) is None
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(ValueError):
+            Schedule(-1, ())
+
     def test_empty_graph_empty_schedule(self):
         assert verify_schedule(Graph(0, ()), Schedule(0, ())) is None
 
@@ -245,6 +249,10 @@ class TestStructure:
         # w next to g: their union is not independent
         w = StructureWitness(x1=W, x2=0, x3=C, y1=G, y2=G, b=1)
         assert not structure_check(P3, w)
+        # overlapping X parts; a dependent X; a Y part outside Y
+        assert not structure_check(P3, StructureWitness(W, W, 0, G, G, 1))
+        assert not structure_check(P3, StructureWitness(W | G, 0, 0, C, C, 1))
+        assert not structure_check(P3, StructureWitness(W | C, 0, 0, W, G, 1))
 
     def test_capacity_slack_witness(self):
         # independent set minus one element x0, with y1 = y2 = {x0}: the
@@ -280,6 +288,19 @@ class TestStructure:
             g = gen.random_graph(5, 0.4, 100 + seed)
             for b in range(1, 6):
                 assert (structure_search(g, b) is not None) == feasible(g, b).feasible
+
+    def test_independent_sets_are_the_edge_free_submasks(self):
+        # the enumerator the BFS table and the five-set search share
+        for n in range(6):
+            for g in gen.all_labeled_graphs(n):
+                edge_free = [
+                    m
+                    for m in range(g.full_mask + 1)
+                    if all(not (m >> u & 1 and g.adj[u] & m) for u in range(n))
+                ]
+                for base in range(g.full_mask + 1):
+                    expected = [m for m in edge_free if not m & ~base]
+                    assert ferry._independent_sets(g.adj, base) == expected, (g, base)
 
     def test_search_validation(self):
         with pytest.raises(ValueError):
