@@ -43,6 +43,11 @@ class TestFeasible:
         res = feasible(Graph(0, ()), 0)
         assert res.feasible and res.min_crossings == 0 and res.schedule.moves == ()
 
+    def test_empty_graph_needs_no_budget(self):
+        # as in alcuin_exact, no limit applies where no search runs
+        assert feasible(Graph(0, ()), 0, limit=-1) == feasible(Graph(0, ()), 0)
+        assert alcuin_exact(Graph(0, ()), limit=-1) == (0, Schedule(0, ()))
+
     def test_schedule_present_iff_feasible(self):
         for g in gen.all_labeled_graphs(4):
             for b in range(0, 5):
@@ -68,12 +73,13 @@ class TestFeasible:
 
 
 class TestCargoChoices:
-    """A bank's cargo list, cut from the independent-set table, against the
-    submask walk."""
+    """A bank's legal-set bitmap over the independent-set table, read as
+    cargos in ascending index, against the submask walk."""
 
     @staticmethod
     def cargos(g, table, bank, b):
-        return [bank ^ j >> 1 for j in table.remainders(g.full_mask, bank, b)]
+        legal = table.legal(g.full_mask, bank, b)
+        return [bank ^ j >> 1 for i, j in enumerate(table.sets) if legal >> i & 1]
 
     def test_matches_submask_walk(self):
         for n in range(6):
@@ -117,6 +123,15 @@ class TestReferenceSearch:
                 beta, _ = brute_min_covers(g)
                 for b in (beta, beta + 1):
                     assert feasible(g, b) == brute_feasible(g, b)
+
+    def test_bitmaps_past_one_word(self):
+        # tables of 1,031 to 8,193 sets, so every bitmap spans many words
+        for n in (13, 14):
+            for a in (1, 2, 3):
+                g = gen.complete_bipartite(a, n - a)
+                beta, _ = brute_min_covers(g)
+                for b in (beta, beta + 1):
+                    assert feasible(g, b, limit=n) == brute_feasible(g, b)
 
     def test_random_graphs(self):
         for i in range(24):
