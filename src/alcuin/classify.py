@@ -85,40 +85,37 @@ def _pair_scan(g: Graph, cover: int) -> ConditionHolds | PairWitness:
     is the one the full scan would find.
 
     Subsets of each size are built on demand, the first time the scan
-    reaches a total that pairs them.  Until an empty size proves the real
-    bound, |C| bounds the largest subset, so a floor above 2|C| ends the
-    scan after the singleton round.
+    reaches a total that pairs them.  The scan ends at the first total
+    whose larger half has no subsets, or past 2|C|, which a floor above
+    2|C| reaches without building any size above one.
     """
     outside = g.full_mask & ~cover
     levels = (
         [(mask, nbrs & outside) for mask, nbrs in level]
         for level in independent_levels(g, cover)
     )
-    max_size = cover.bit_count()
-    singles = next(levels, [])
-    by_size = [[], singles]  # by_size[k]: k-subsets as (mask, outside nbrs)
-    floor = 2 * max_size + 1
+    by_size = [[]]  # by_size[k]: k-subsets as (mask, outside nbrs)
+
+    def subsets(k: int) -> list[tuple[int, int]]:
+        while len(by_size) <= k:  # [] past the last size
+            by_size.append(next(levels, []))
+        return by_size[k]
+
+    singles = subsets(1)
+    floor = None
     for i, (u_mask, u_nbrs) in enumerate(singles):
         for v_mask, v_nbrs in singles[i:]:
             common = (u_nbrs & v_nbrs).bit_count()
             if common <= 2:
                 return PairWitness(cover, u_mask, v_mask)
-            if common < floor:
+            if floor is None or common < floor:
                 floor = common
-    total = max(3, floor)
-    while total <= 2 * max_size:
-        for s_size in range(max(1, total - max_size), total // 2 + 1):
+    total = floor or 3
+    while total <= 2 * len(singles) and subsets((total + 1) // 2):
+        for s_size in range(1, total // 2 + 1):
             t_size = total - s_size
-            while len(by_size) <= min(t_size, max_size):
-                level = next(levels, None)
-                if level is None:
-                    max_size = len(by_size) - 1
-                else:
-                    by_size.append(level)
-            if t_size > max_size:
-                continue
-            for s_mask, s_nbrs in by_size[s_size]:
-                for t_mask, t_nbrs in by_size[t_size]:
+            for s_mask, s_nbrs in subsets(s_size):
+                for t_mask, t_nbrs in subsets(t_size):
                     if s_size == t_size and t_mask < s_mask:
                         continue
                     if (s_nbrs & t_nbrs).bit_count() <= total:

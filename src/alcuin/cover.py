@@ -19,6 +19,7 @@ from .errors import BudgetExceededError
 from .graph import Graph, bits, is_independent, vertices_of
 
 DEFAULT_ENUMERATION_LIMIT = 16
+MAX_COVERS = 1 << 16  # most covers listed, whatever the vertex limit allows
 
 
 @dataclass(frozen=True)
@@ -82,13 +83,14 @@ def _component_mis(adj: tuple[int, ...], comp: int) -> tuple[int, list[int]]:
     are the undecided vertices with no neighbor in the chosen set.  A branch
     is cut once even taking every candidate stays below the best size seen;
     sets that tie the best are kept, so every maximum set is reported once.
+    It stops once more than MAX_COVERS sets tie.
     """
     best = -1
     found: list[int] = []
 
     def rec(cand: int, chosen: int, size: int) -> None:
         nonlocal best, found
-        if size + cand.bit_count() < best:
+        if size + cand.bit_count() < best or len(found) > MAX_COVERS:
             return
         if not cand:
             if size > best:
@@ -109,7 +111,7 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
 
     A maximum independent set is a union of one maximum set per component,
     so alpha is the sum of the component alphas and the sets are every
-    combination of the component sets.
+    combination of the component sets, counted before they are listed.
     """
     adj = g.adj
     rest = g.full_mask
@@ -125,6 +127,11 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
         rest ^= comp
         size, found = _component_mis(adj, comp)
         total += size
+        count = len(sets) * len(found)
+        if count > MAX_COVERS:
+            raise BudgetExceededError(
+                f"cover enumeration exceeds the limit {MAX_COVERS} ({count} covers counted)"
+            )
         sets = [a | b for a in sets for b in found]
     return total, sets
 
@@ -134,7 +141,8 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
 
     Raises BudgetExceededError, before any search, when g has more than
     full_limit vertices: one cover alone cannot tell whether it is unique,
-    so there is no partial answer.
+    so there is no partial answer.  It also raises, at any full_limit, once
+    the covers number more than MAX_COVERS.
     """
     if g.n > full_limit:
         raise BudgetExceededError(

@@ -28,6 +28,7 @@ CARGO_NOT_ON_BANK = "cargo_not_on_bank"
 BANK_CONFLICT = "bank_conflict"
 NOT_ALL_TRANSPORTED = "not_all_transported"
 WRONG_DIRECTION = "wrong_direction"
+MAX_SETS = 1 << 16  # most independent sets listed, whatever a vertex limit allows
 
 
 @dataclass(frozen=True)
@@ -139,13 +140,18 @@ def _independent_sets(adj: tuple[int, ...], vertices: int) -> list[int]:
     """Every independent subset of vertices, 0 included, ascending: a
     vertex joins a set only if none of its neighbours is already in it.
     Vertices join lowest first, so every set a vertex adds has a bit above
-    every bit of the sets before it, and the list stays in mask order."""
+    every bit of the sets before it, and the list stays in mask order.
+    Raises BudgetExceededError once the list grows past MAX_SETS."""
     sets = [0]
     while vertices:
         low = vertices & -vertices
         vertices ^= low
         nbrs = adj[low.bit_length() - 1]
         sets += [s | low for s in sets if not s & nbrs]
+        if len(sets) > MAX_SETS:
+            raise BudgetExceededError(
+                f"set enumeration exceeds the limit {MAX_SETS} ({len(sets)} sets listed)"
+            )
     return sets
 
 

@@ -1,31 +1,29 @@
 """Ground truth by brute force: breadth-first search over bank states.
 
-A state is the right-bank contents plus the boat side, packed into one int
-as ``right << 1 | side`` (side 0 = left).  From each state every cargo that
-fits the boat and leaves the departure bank independent is a legal
-crossing, and cargos are tried ascending by size, then mask, so BFS
-tie-breaks, and therefore shortest-schedule traces, are fixed.
-
-States as table indices.  The bank the boat leaves behind must be
-independent, so a state is an independent set J left behind plus the
-boat's side.  One table lists every independent set of the graph (from the
-enumerator in `ferry` that the five-set search also walks) as ``J << 1``,
-descending by size, then mask: leaving J behind gives state ``J << 1``
-from the right bank and ``(full ^ J) << 1 | 1`` from the left.  The legal
-moves from a bank B are one bitmap over the table: a prefix, the sets of
-size at least |B| - b, less the sets that meet the other bank (one OR of
-per-vertex membership bitmaps), in ascending cargo order.  One bitmap of
-unseen states per boat side drops, by one AND, the moves to states already
-seen before any is listed, the visited-bitmap test of direction-optimizing
-BFS (Beamer, Asanovic and Patterson, SC 2012): on the benchmark's oracle12
-graphs only 71,140 of 1,550,363 legal moves lead somewhere new.
+The bank the boat last left is always an independent set K: empty at the
+start and at the goal, and the set left behind after every move.  So a
+state is an index into one table of every independent set (from the
+enumerator in `ferry` that the five-set search also walks), naming K, plus
+the boat's side, packed as ``i << 1 | side`` (side 0 = left).  The legal
+moves from it leave behind the sets J that avoid K with |J| >= n - |K| - b
+and carry ``full ^ K ^ J``.  The table runs descending by size, then mask,
+so they are one bitmap over it, a prefix less the sets that meet K (an OR
+of per-vertex membership bitmaps), and ascending index is ascending cargo
+by size, then mask: BFS tie-breaks, and so shortest-schedule traces, are
+fixed.  One bitmap of unseen states per boat side drops, by one AND, the
+moves to states already seen before any is listed, the visited-bitmap test
+of direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012): on
+the benchmark's oracle12 graphs only 71,140 of 1,550,363 legal moves lead
+somewhere new.
 
 The trade-off: the table is built in full before the search, so a search
 that stops early still pays for every independent set of the graph.  At
 the default limit of 12 vertices that is at most 4,096 sets.  Above it the
 cost grows with the table, not with the search: ``feasible(star(15), 1,
 limit=64)`` builds 32,769 sets to expand 33 states, about 20 ms where a
-per-state search takes 0.3 ms.
+per-state search takes 0.3 ms.  The enumerator raises BudgetExceededError
+past 65,536 sets, whatever the limit, and a search holds at most two
+states per set, so that bounds the search too.
 
 The oracle is the independent side of every cross-check, so it shares no
 code with the cover, classifier or construction modules: its whole import
@@ -56,12 +54,12 @@ class SearchResult:
 
 
 class _SetTable:
-    """Every independent set J of one graph as ``J << 1``, descending by
-    size, then mask; ``ends[k]`` counts the sets of size at least k, and
-    bit i of ``members[v]`` is set iff v is in sets[i]."""
+    """Every independent set of one graph, descending by size, then mask;
+    ``ends[k]`` counts the sets of size at least k, and bit i of
+    ``members[v]`` is set iff v is in sets[i]."""
 
     def __init__(self, g: Graph) -> None:
-        sets = [s << 1 for s in _independent_sets(g.adj, g.full_mask)]
+        sets = _independent_sets(g.adj, g.full_mask)
         sets.sort(reverse=True)
         sets.sort(key=int.bit_count, reverse=True)  # stable: mask order holds
         ends = [0] * (g.n + 2)
@@ -69,25 +67,26 @@ class _SetTable:
             ends[s.bit_count()] += 1
         for k in range(g.n, -1, -1):
             ends[k] += ends[k + 1]
-        # the table as a character matrix, one row of n + 1 binary digits
-        # per set, last set first: column n - 1 - v holds vertex v, and read
+        # the table as a character matrix, one row of n binary digits per
+        # set, last set first: column n - 1 - v holds vertex v, and read
         # down the rows it is vertex v's bitmap, sets[0] in the lowest bit
-        rows = "".join(map(format, reversed(sets), repeat(f"0{g.n + 1}b")))
+        rows = "".join(map(format, reversed(sets), repeat(f"0{g.n}b")))
         self.sets = sets
         self.ends = ends
-        self.members = [int(rows[g.n - 1 - v :: g.n + 1], 2) for v in range(g.n)]
+        self.members = [int(rows[g.n - 1 - v :: g.n], 2) for v in range(g.n)]
 
-    def legal(self, full: int, bank: int, b: int) -> int:
-        """Bit i is set iff a boat of capacity b can leave sets[i] behind on
-        bank: the set avoids the other bank, so lies within this one, and
-        is at most b smaller.  Ascending i is ascending cargo ``bank ^ J``."""
+    def legal(self, n: int, far: int, b: int) -> int:
+        """Bit i is set iff a boat of capacity b, across from the far bank,
+        can leave sets[i] behind: the set avoids far, so lies within the
+        boat's bank, and is at most b smaller.  Ascending i is ascending
+        cargo ``full ^ far ^ sets[i]``."""
+        cut = self.ends[max(n - far.bit_count() - b, 0)]
         meet = 0
-        other = full ^ bank
-        while other:
-            low = other & -other
-            other ^= low
+        while far:
+            low = far & -far
+            far ^= low
             meet |= self.members[low.bit_length() - 1]
-        return ~meet & ~(-1 << self.ends[max(bank.bit_count() - b, 0)])
+        return ~meet & ~(-1 << cut)
 
 
 def _check_limit(g: Graph, limit: int) -> None:
@@ -99,10 +98,10 @@ def feasible(g: Graph, b: int, limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResul
     """Decide feasibility at boat capacity b; shortest schedule when feasible.
 
     Breadth-first over bank states, each state's cargos ascending by size,
-    then mask, listing only the moves to states not yet seen.  The table of
-    every independent set of g that the states index is built in full
-    first, so a search that ends after a few states still pays for all of
-    it.  The empty graph needs no search, so no limit applies to it.
+    then mask, listing only the moves to states not yet seen.  Every
+    independent set of g is listed first, even for a short search, and past
+    65,536 of them it raises BudgetExceededError at any limit.  The empty
+    graph needs no search, so no limit applies to it.
     """
     if b < 0:
         raise ValueError("negative boat capacity")
@@ -115,41 +114,32 @@ def feasible(g: Graph, b: int, limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResul
 def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     """Breadth-first search from everything on the left to the goal.
 
-    Every discovered state is ``base ^ sets[i]`` for one i (base 0 with the
-    boat on the left, goal with it on the right), and its bit in
-    ``unseen[side]`` is cleared exactly when it enters ``parents``.  So
-    ``legal & unseen[side]``, walked in ascending index (cargo) order, lists
-    the same states in the same order as skipping those in ``parents`` would:
-    parents, queue order, states_expanded and the schedule do not change.
+    A state ``i << 1 | side`` has the boat on side and sets[i] on the far
+    bank; its bit i in ``unseen[side]`` is cleared exactly when it enters
+    ``parents``.  So ``legal & unseen[side]``, walked in ascending index
+    (cargo) order, lists the same states in the same order as skipping
+    those in ``parents`` would: parents, queue order, states_expanded and
+    the schedule do not change.
     """
-    full = g.full_mask
-    goal = full << 1 | 1  # everything on the right, boat with it
     sets = table.sets
-    # parent state of each discovered state; the cargo is (state ^ parent) >> 1.
-    # The start state, everything and the boat on the left, is 0 = sets[-1].
-    parents: dict[int, int] = {0: -1}
-    queue = deque([0])
-    # unseen[side]: bit i set while the state with the boat on that side
-    # and sets[i] left behind is undiscovered
-    unseen = [~(-1 << len(sets) - 1), ~(-1 << len(sets))]
+    empty = len(sets) - 1  # sets[-1] is the empty set
+    start, goal = empty << 1, empty << 1 | 1
+    parents: dict[int, int] = {start: -1}
+    queue = deque([start])
+    # unseen[side]: bit i set while state i << 1 | side is undiscovered
+    unseen = [~(-1 << empty), ~(-1 << len(sets))]
     expanded = 0
     while queue:
         state = queue.popleft()
         expanded += 1
-        # leaving J behind makes the next state J << 1 from the right bank
-        # and (full ^ J) << 1 | 1 from the left: base ^ (J << 1) either way
-        if state & 1:
-            bank, base = state >> 1, 0
-        else:
-            bank, base = full ^ state >> 1, goal
-        side = base & 1  # the boat's side in every next state
-        new = table.legal(full, bank, b) & unseen[side]
+        side = ~state & 1  # the boat crosses: its side in every next state
+        new = table.legal(g.n, sets[state >> 1], b) & unseen[side]
         unseen[side] ^= new
         fresh = []
         while new:
             low = new & -new
             new ^= low
-            fresh.append(base ^ sets[low.bit_length() - 1])
+            fresh.append((low.bit_length() - 1) << 1 | side)
         parents.update(dict.fromkeys(fresh, state))
         if goal in parents:
             break
@@ -158,10 +148,10 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
         return SearchResult(False, None, None, expanded)
     moves: list[Move] = []
     state = goal
-    while state:
+    while state != start:
         prev = parents[state]
         direction = RIGHT_TO_LEFT if prev & 1 else LEFT_TO_RIGHT
-        moves.append(Move(direction, (state ^ prev) >> 1))
+        moves.append(Move(direction, g.full_mask ^ sets[prev >> 1] ^ sets[state >> 1]))
         state = prev
     moves.reverse()
     return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)
@@ -177,8 +167,7 @@ def alcuin_exact(
     construction guarantees, and a miss there aborts loudly.  Both searches
     run over one independent-set table, each with its own seen-state
     bitmaps, and beta is read off it: its first set is a largest one, so
-    beta = n - alpha.  A passed
-    beta that differs from it raises ValueError.
+    beta = n - alpha.  A passed beta that differs from it raises ValueError.
     """
     if g.n:  # the empty graph needs no search, so no limit applies to it
         _check_limit(g, limit)

@@ -23,6 +23,7 @@ from alcuin import (
 )
 from alcuin import generators as gen
 from brute import brute_classification_condition, brute_exists_2x_witness, brute_hall_strict
+from capped import budget_error
 
 
 class TestConditionOnUniqueCovers:
@@ -180,6 +181,13 @@ class TestCliffs:
         cls = classify(gen.hypercube(6), 64)
         assert cls.verdict == CLASS_ONE and cls.c == 32
         assert cls.reason == MultipleCovers(0x6996966996696996, 0x9669699669969669)
+
+    def test_matching32_over_the_cover_cap(self):
+        source = (
+            "from alcuin import Graph, classify\n"
+            "classify(Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]), 64)"
+        )
+        assert budget_error(source).startswith("cover enumeration exceeds the limit 65536 ")
 
     def test_k11_23_class_two(self):
         g = gen.complete_bipartite(11, 23)

@@ -16,6 +16,9 @@ from alcuin.cover import CoverReport, min_covers
 from alcuin.io import parse_graph6, report_json, schedule_json, serialize_graph6
 from alcuin.oracle import alcuin_exact
 from alcuin.schedule import synthesize
+from capped import run_capped
+
+ENTRY = "from alcuin.cli import entry; entry()"
 
 
 def run(capsys, *argv):
@@ -463,6 +466,21 @@ def test_zero_limits_are_accepted(capsys):
     assert code == 3 and "exceeds the limit 0" in err
     code, _, _ = run(capsys, "survey", "--max-n", "0")
     assert code == 0
+
+
+def test_cover_cap_exits_3(tmp_path):
+    # 2^32 minimum covers: counted, not listed, under a raised vertex limit
+    path = tmp_path / "matching32.txt"
+    path.write_text("n 64\n" + "".join(f"{2 * i} {2 * i + 1}\n" for i in range(32)))
+    argv = ["analyze", "--cover-limit", "64", "--edge-list", str(path)]
+    done = run_capped(ENTRY, *argv)
+    assert done.returncode == 3 and "cover enumeration exceeds the limit 65536" in done.stderr
+
+
+def test_set_cap_exits_3():
+    argv = ["schedule", "--shortest", "--search-limit", "64", "--gen", "edgeless:30"]
+    done = run_capped(ENTRY, *argv)
+    assert done.returncode == 3 and "set enumeration exceeds the limit 65536" in done.stderr
 
 
 def test_module_entry_point():

@@ -21,6 +21,7 @@ from brute import (
     brute_maximum_independent_sets,
     brute_min_covers,
 )
+from capped import budget_error
 
 
 def matching(m: int) -> Graph:
@@ -139,6 +140,33 @@ class TestMinCovers:
     def test_gallai_identity(self):
         for g in gen.all_labeled_graphs(5):
             assert alpha(g) + min_covers(g).beta == g.n
+
+
+class TestCoverCap:
+    """At most MAX_COVERS covers are listed, whatever the vertex limit;
+    the inputs that pass it run under a memory cap (tests/capped.py)."""
+
+    def test_matching32_counted_before_listing(self):
+        source = (
+            "from alcuin import Graph, min_covers\n"
+            "min_covers(Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]), 64)"
+        )
+        message = budget_error(source)
+        assert message == "cover enumeration exceeds the limit 65536 (131072 covers counted)"
+
+    def test_one_component_with_2_to_the_20_sets(self):
+        # a hub joined to every vertex of a 20-edge matching: one component
+        # whose maximum independent sets take one end of each edge
+        source = (
+            "from alcuin import Graph, min_covers\n"
+            "edges = [(2 * i, 2 * i + 1) for i in range(20)] + [(40, v) for v in range(40)]\n"
+            "min_covers(Graph.from_edges(41, edges), 64)"
+        )
+        message = budget_error(source)
+        assert message == "cover enumeration exceeds the limit 65536 (65537 covers counted)"
+
+    def test_the_cap_itself_is_accepted(self):
+        assert len(min_covers(matching(16), 64).covers) == 65536
 
 
 class TestMaximumIndependentSets:

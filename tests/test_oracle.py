@@ -17,6 +17,7 @@ from alcuin import oracle
 from alcuin.ferry import LEFT_TO_RIGHT as LR
 from alcuin.ferry import RIGHT_TO_LEFT as RL
 from brute import brute_cargo_choices, brute_feasible, brute_min_covers, relabel
+from capped import budget_error
 
 P3 = gen.path(3)
 
@@ -72,14 +73,32 @@ class TestFeasible:
             feasible(P3, -1)
 
 
+class TestSetCap:
+    """At most MAX_SETS independent sets are listed, whatever the search
+    limit; edgeless(30) has 2^30 of them and runs under a memory cap."""
+
+    @pytest.mark.parametrize("call", ["feasible(g, 1, limit=64)", "alcuin_exact(g, limit=64)"])
+    def test_edgeless30(self, call):
+        source = (
+            "from alcuin import alcuin_exact, feasible, generators\n"
+            f"g = generators.edgeless(30)\n{call}"
+        )
+        message = "set enumeration exceeds the limit 65536 (131072 sets listed)"
+        assert budget_error(source) == message
+
+    def test_star15_stays_accepted(self):
+        # 32,769 independent sets, half the cap
+        assert not feasible(gen.star(15), 1, limit=64).feasible
+
+
 class TestCargoChoices:
     """A bank's legal-set bitmap over the independent-set table, read as
     cargos in ascending index, against the submask walk."""
 
     @staticmethod
     def cargos(g, table, bank, b):
-        legal = table.legal(g.full_mask, bank, b)
-        return [bank ^ j >> 1 for i, j in enumerate(table.sets) if legal >> i & 1]
+        legal = table.legal(g.n, g.full_mask ^ bank, b)
+        return [bank ^ j for i, j in enumerate(table.sets) if legal >> i & 1]
 
     def test_matches_submask_walk(self):
         for n in range(6):
