@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CoverReport, check_minimum_cover, independent_levels, min_covers
-from .cover import DEFAULT_ENUMERATION_LIMIT, _sparse_subset
+from .cover import CoverReport, check_minimum_cover, independent_levels
+from .cover import DEFAULT_ENUMERATION_LIMIT, _lowest_covers, _sparse_subset
 from .graph import Graph, bits, is_claw_free
 
 CLASS_ONE = "one"
@@ -127,18 +127,20 @@ def _pair_scan(g: Graph, cover: int) -> ConditionHolds | PairWitness:
 def classify_covers(g: Graph, report: CoverReport) -> Classification:
     """Verdict, Alcuin number and reason from the cover report of g.
 
-    For callers that need the covers as well as the verdict: the enumeration
-    is the costly step, and this runs it once where min_covers followed by
-    classify would run it twice.
+    For callers that hold the full report anyway, such as analyze, which
+    prints every cover; classify itself finds only the covers it reads.
     """
     if g.n == 0:
         return Classification(CLASS_ONE, 0, Degenerate())
-    beta = report.beta
-    if len(report.covers) >= 2:
-        return Classification(
-            CLASS_ONE, beta, MultipleCovers(report.covers[0], report.covers[1])
-        )
-    outcome = _pair_scan(g, report.covers[0])
+    return _decide(g, report.beta, report.covers)
+
+
+def _decide(g: Graph, beta: int, covers: tuple[int, ...]) -> Classification:
+    """The verdict from beta and the lowest minimum covers, ascending; only
+    the first two are read."""
+    if len(covers) >= 2:
+        return Classification(CLASS_ONE, beta, MultipleCovers(covers[0], covers[1]))
+    outcome = _pair_scan(g, covers[0])
     if isinstance(outcome, ConditionHolds):
         return Classification(CLASS_TWO, beta + 1, outcome)
     return Classification(CLASS_ONE, beta, outcome)
@@ -147,15 +149,15 @@ def classify_covers(g: Graph, report: CoverReport) -> Classification:
 def classify(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Classification:
     """Verdict, Alcuin number and a machine-checkable reason.
 
-    Degenerate n=0 graphs get c=0.  Two or more minimum covers settle class
-    one immediately; otherwise the condition on the unique cover decides.
-    Edgeless graphs (beta=0, unique cover is empty) come out class two with
-    c=1, matching the search oracle.  Raises BudgetExceededError above the
-    cover enumeration limit.
+    Degenerate n=0 graphs get c=0.  Two minimum covers settle class one
+    immediately, so only beta and the two lowest covers are searched for;
+    with one cover the condition on it decides.  Edgeless graphs (beta=0,
+    unique cover is empty) come out class two with c=1, matching the search
+    oracle.  Raises BudgetExceededError above the cover vertex limit.
     """
-    if g.n == 0:  # ahead of the budget check: nothing to enumerate at any limit
+    if g.n == 0:  # ahead of the budget check: nothing to search at any limit
         return Classification(CLASS_ONE, 0, Degenerate())
-    return classify_covers(g, min_covers(g, cover_limit))
+    return _decide(g, *_lowest_covers(g, cover_limit))
 
 
 def exists_2x_witness(g: Graph, cover: int) -> int | None:

@@ -1,10 +1,22 @@
 """Exact independence and vertex-cover computations.
 
-alpha() runs a branch-and-bound maximum-independent-set search.  min_covers()
-enumerates every maximum independent set per connected component, with its
-own size bound and without consulting alpha(), and complements them; the two
-routes therefore cross-check each other through the alpha + beta = n identity.
-Above its vertex budget min_covers() raises rather than search.
+Every route below splits the graph into connected components first: a
+maximum independent set is one maximum set per component.  There are three.
+
+- alpha() finds the independence number by branch and bound.  It takes
+  every vertex of degree 0 or 1 and branches on a vertex of maximum degree.
+- min_covers() lists every maximum independent set with an include-first
+  search and its own size bound, and complements them.  It consults alpha
+  only when a component overflows the cover cap, to tell ties below alpha
+  from real ones; the sets it lists carry their own size, so a wrong alpha
+  can end in nothing found but never in a wrong list.  alpha + beta = n
+  therefore checks these two routes against each other.
+- _lowest_covers(), behind classify and synthesize, finds beta and the one
+  or two lowest minimum covers without listing the rest.  It takes each
+  component's alpha from the first route as its bound, and the tests check
+  its answer against the first two covers of the second.
+
+Above their vertex budget the cover routes raise rather than search.
 independent_levels() lists the independent subsets of a cover one size at a
 time, building each size only when its caller asks for it, so the pair scan
 and the expansion tests stop without building sizes they never read.
@@ -16,7 +28,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from .errors import BudgetExceededError
-from .graph import Graph, bits, is_independent, vertices_of
+from .graph import Graph, is_independent, vertices_of
 
 DEFAULT_ENUMERATION_LIMIT = 16
 MAX_COVERS = 1 << 16  # most covers listed, whatever the vertex limit allows
@@ -40,52 +52,98 @@ class CoverReport:
         return len(self.covers) == 1
 
 
+def _components(adj: tuple[int, ...], rest: int) -> list[int]:
+    """Connected components of the graph on the vertex set rest, as masks,
+    in order of their lowest vertex; rest must be a union of components."""
+    comps = []
+    while rest:
+        comp = todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo = (todo ^ low) | new
+        rest ^= comp
+        comps.append(comp)
+    return comps
+
+
 def alpha(g: Graph) -> int:
-    """Independence number: size of a largest pairwise non-adjacent set.
-
-    Branch and bound on the lowest-index maximum-degree vertex of the
-    remaining subgraph: first exclude it, then include it and drop its
-    closed neighborhood.  It shares no code with the cover enumeration, so
-    alpha + beta = n checks one against the other.
-    """
+    """Independence number: size of a largest pairwise non-adjacent set,
+    summed over the connected components."""
     adj = g.adj
-    best = -1
+    return sum(_alpha_within(adj, comp) for comp in _components(adj, g.full_mask))
 
-    def rec(remaining: int, size: int) -> None:
-        nonlocal best
-        if size + remaining.bit_count() <= best:
-            return
-        v = -1
-        vdeg = -1
+
+def _alpha_within(adj: tuple[int, ...], comp: int) -> int:
+    """Independence number of the subgraph induced on comp.
+
+    The search starts from the size of one maximal independent set, taken
+    greedily from the highest vertex down, so it only has to beat that.
+    """
+    greedy, cand = 0, comp
+    while cand:
+        v = cand.bit_length() - 1
+        cand &= ~(adj[v] | (1 << v))
+        greedy += 1
+    return _alpha_search(adj, comp, 0, greedy)
+
+
+def _alpha_search(adj: tuple[int, ...], remaining: int, size: int, best: int) -> int:
+    """size plus the independence number of the subgraph induced on
+    remaining, or best if that is no larger.
+
+    First it takes every vertex with at most one remaining neighbor, and
+    drops that neighbor, until none is left: such a vertex lies in some
+    maximum independent set, since it can replace its one neighbor (Fomin,
+    Grandoni and Kratsch, J. ACM 56(5), 2009).  Then it branches on the
+    lowest-index maximum-degree vertex: first exclude it, then include it
+    and drop its closed neighborhood.  This rule differs from the cover
+    enumeration's, so alpha + beta = n checks two independent searches.
+    A branch is cut when it cannot beat best even if the independent set
+    misses only the fewest vertices that can cover the remaining edges: at
+    least edges / maximum degree of them.
+    """
+    if size + remaining.bit_count() <= best:
+        return best
+    while True:
+        v, vdeg, degrees, took = -1, 1, 0, False
         m = remaining
         while m:
             low = m & -m
+            m ^= low
             u = low.bit_length() - 1
             d = (adj[u] & remaining).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
-            m ^= low
-        if vdeg <= 0:  # no edge left: every remaining vertex joins the set
-            best = size + remaining.bit_count()
-            return
-        bit = 1 << v
-        rec(remaining ^ bit, size)
-        rec(remaining & ~(adj[v] | bit), size + 1)
+            if d <= 1:
+                size += 1
+                remaining &= ~(adj[u] | low)
+                m &= remaining
+                took = True
+            else:
+                degrees += d
+                if d > vdeg:
+                    v, vdeg = u, d
+        if not took:
+            break
+    if v < 0:  # every vertex was taken
+        return max(best, size)
+    if size + remaining.bit_count() - (degrees // 2 + vdeg - 1) // vdeg <= best:
+        return best
+    bit = 1 << v
+    best = _alpha_search(adj, remaining ^ bit, size, best)
+    return _alpha_search(adj, remaining & ~(adj[v] | bit), size + 1, best)
 
-    rec(g.full_mask, 0)
-    return best
 
-
-def _component_mis(adj: tuple[int, ...], comp: int) -> tuple[int, list[int]]:
+def _component_mis(adj: tuple[int, ...], comp: int, floor: int = -1) -> tuple[int, list[int]]:
     """(alpha, every maximum independent set) of the subgraph induced on comp.
 
     Include-first DFS on the lowest candidate vertex, where the candidates
     are the undecided vertices with no neighbor in the chosen set.  A branch
-    is cut once even taking every candidate stays below the best size seen;
-    sets that tie the best are kept, so every maximum set is reported once.
-    It stops once more than MAX_COVERS sets tie.
+    is cut once even taking every candidate stays below the best size seen,
+    which starts at floor; sets that tie the best are kept, so every maximum
+    set is reported once.  It stops once more than MAX_COVERS sets tie.
     """
-    best = -1
+    best = floor
     found: list[int] = []
 
     def rec(cand: int, chosen: int, size: int) -> None:
@@ -112,20 +170,22 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
     A maximum independent set is a union of one maximum set per component,
     so alpha is the sum of the component alphas and the sets are every
     combination of the component sets, counted before they are listed.
+
+    A component whose search stops at the cap may have tied below its
+    alpha (the best size seen can still grow).  Then alpha decides: ties of
+    size alpha are over the cap, and smaller ties send the search round
+    again with alpha as its floor.
     """
     adj = g.adj
-    rest = g.full_mask
     total, sets = 0, [0]
-    while rest:
-        comp = frontier = rest & -rest
-        while frontier:
-            reach = 0
-            for v in bits(frontier):
-                reach |= adj[v]
-            frontier = reach & ~comp
-            comp |= frontier
-        rest ^= comp
+    for comp in _components(adj, g.full_mask):
         size, found = _component_mis(adj, comp)
+        if len(found) > MAX_COVERS:
+            alpha_c = _alpha_within(adj, comp)
+            if size < alpha_c:
+                size, found = _component_mis(adj, comp, alpha_c)
+                if not found:
+                    raise RuntimeError(f"no independent set of size alpha={alpha_c} found")
         total += size
         count = len(sets) * len(found)
         if count > MAX_COVERS:
@@ -136,6 +196,14 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
     return total, sets
 
 
+def _check_budget(g: Graph, full_limit: int) -> None:
+    """The vertex budget of both cover searches, checked before either runs."""
+    if g.n > full_limit:
+        raise BudgetExceededError(
+            f"cover enumeration for n={g.n} exceeds the limit {full_limit}"
+        )
+
+
 def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
     """Every minimum vertex cover, as complements of maximum independent sets.
 
@@ -144,13 +212,82 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
     so there is no partial answer.  It also raises, at any full_limit, once
     the covers number more than MAX_COVERS.
     """
-    if g.n > full_limit:
-        raise BudgetExceededError(
-            f"cover enumeration for n={g.n} exceeds the limit {full_limit}"
-        )
+    _check_budget(g, full_limit)
     a, sets = _maximum_independent_sets(g)
     full = g.full_mask
     return CoverReport(g.n - a, tuple(sorted(full ^ s for s in sets)))
+
+
+def _highest_sets(
+    adj: tuple[int, ...], cand: int, chosen: int, size: int, floor: int, hits: list[int]
+) -> None:
+    """Append to hits, highest first, the independent sets of at least
+    floor vertices that extend chosen by candidates until none is left,
+    stopping once hits holds two.
+
+    Include-first DFS on the highest candidate, cut once size + |cand|
+    drops below floor; at exactly floor a hit must take every candidate,
+    so it is chosen | cand if the candidates are independent, and there is
+    none otherwise.  Both branches at a vertex agree on every decided
+    vertex and every remaining candidate lies below the branching vertex,
+    so every set from the include branch is above every set from the
+    exclude branch: leaves arrive in descending mask order, and the first
+    two hits are the two highest.  With floor = alpha, a hit is a leaf
+    whose set cannot grow, so it is a maximum set.
+    """
+    slack = size + cand.bit_count() - floor
+    if slack <= 0:
+        if slack == 0:
+            m = cand
+            while m:
+                low = m & -m
+                if adj[low.bit_length() - 1] & cand:
+                    return
+                m ^= low
+            hits.append(chosen | cand)
+        return
+    v = cand.bit_length() - 1
+    bit = 1 << v
+    _highest_sets(adj, cand & ~(adj[v] | bit), chosen | bit, size + 1, floor, hits)
+    if len(hits) < 2:
+        _highest_sets(adj, cand ^ bit, chosen, size, floor, hits)
+
+
+def _lowest_covers(g: Graph, full_limit: int) -> tuple[int, tuple[int, ...]]:
+    """(beta, the one or two lowest minimum covers, ascending); two iff the
+    minimum cover is not unique.  Nothing else is listed, so no cover cap
+    applies; the vertex budget is min_covers'.
+
+    The lowest covers are the complements of the highest maximum
+    independent sets.  Per component, _highest_sets with the component's
+    alpha as floor gives its highest maximum set first_c and, if there is
+    one, its second highest second_c.  The highest union is top, the OR of
+    every first_c.  The second highest is the largest top ^ first_c ^
+    second_c.  Proof: a union is at most another when it is at most in
+    each component, because the highest bit where the two differ is the
+    highest bit where their parts in one component differ.  A union S
+    other than top has S_c != first_c in some component c, so S_c <=
+    second_c there and S_k <= first_k everywhere else: S <= top ^ first_c
+    ^ second_c.
+    """
+    _check_budget(g, full_limit)
+    adj = g.adj
+    total = top = 0
+    flips = []  # first_c ^ second_c for each component with two maximum sets
+    for comp in _components(adj, g.full_mask):
+        alpha_c = _alpha_within(adj, comp)
+        hits: list[int] = []
+        _highest_sets(adj, comp, 0, 0, alpha_c, hits)
+        if not hits:
+            raise RuntimeError(f"no independent set of size alpha={alpha_c} found")
+        total += alpha_c
+        top |= hits[0]
+        if len(hits) == 2:
+            flips.append(hits[0] ^ hits[1])
+    full = g.full_mask
+    if not flips:
+        return g.n - total, (full ^ top,)
+    return g.n - total, (full ^ top, full ^ max(top ^ f for f in flips))
 
 
 def is_vertex_cover(g: Graph, mask: int) -> bool:

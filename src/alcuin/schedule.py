@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 from .classify import PairWitness, _pair_scan
-from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover, min_covers
+from .cover import DEFAULT_ENUMERATION_LIMIT, _lowest_covers, check_minimum_cover
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, verify_schedule
 from .graph import Graph, bits, is_independent, neighbors_in, vertices_of
 
@@ -113,17 +113,18 @@ def synthesize(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Schedu
     construction at beta (class one), ConditionHolds the generic schedule at
     beta+1 (class two).  One cover is enough, since a cover C that is not
     unique fails strict expansion on some independent A, |N(A) - C| <= |A|,
-    and (A, A) is then a witness.  Raises BudgetExceededError above the
-    cover enumeration limit.
+    and (A, A) is then a witness; the search for the lowest cover also finds
+    a second one if there is one, which checks that.  Raises
+    BudgetExceededError above the cover vertex limit.
     """
     if g.n == 0:
         return Schedule(0, ())
-    report = min_covers(g, cover_limit)
-    cover = report.covers[0]
+    _, covers = _lowest_covers(g, cover_limit)
+    cover = covers[0]
     outcome = _pair_scan(g, cover)
     if isinstance(outcome, PairWitness):
         return _from_witness(g, cover, outcome.s, outcome.t)
-    if not report.unique:
+    if len(covers) > 1:
         raise RuntimeError("pair scan found no witness on a cover that is not unique")
     return _generic(g, cover)
 

@@ -8,6 +8,7 @@ from alcuin import (
     BudgetExceededError,
     CLASS_ONE,
     CLASS_TWO,
+    Classification,
     ConditionHolds,
     Degenerate,
     Graph,
@@ -23,7 +24,8 @@ from alcuin import (
 )
 from alcuin import generators as gen
 from brute import brute_classification_condition, brute_exists_2x_witness, brute_hall_strict
-from capped import budget_error
+from capped import run_capped
+from test_cover import ties_below_alpha
 
 
 class TestConditionOnUniqueCovers:
@@ -182,12 +184,33 @@ class TestCliffs:
         assert cls.verdict == CLASS_ONE and cls.c == 32
         assert cls.reason == MultipleCovers(0x6996966996696996, 0x9669699669969669)
 
-    def test_matching32_over_the_cover_cap(self):
+    def test_matching32_two_covers(self):
+        # 2^32 minimum covers, of which classify finds two; a fallback to
+        # listing them all ends in MemoryError under the cap
         source = (
             "from alcuin import Graph, classify\n"
-            "classify(Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)]), 64)"
+            "g = Graph.from_edges(64, [(2 * i, 2 * i + 1) for i in range(32)])\n"
+            "print(repr(classify(g, 64)))"
         )
-        assert budget_error(source).startswith("cover enumeration exceeds the limit 65536 ")
+        cover = 0x5555555555555555
+        expected = Classification(CLASS_ONE, 32, MultipleCovers(cover, cover + 1))
+        assert run_capped(source).stdout == repr(expected) + "\n"
+
+    def test_hub20_two_covers(self):
+        # a hub joined to every vertex of a 20-edge matching: one component
+        # with 2^20 maximum independent sets, over the cap for min_covers
+        source = (
+            "from alcuin import Graph, classify\n"
+            "edges = [(2 * i, 2 * i + 1) for i in range(20)] + [(40, v) for v in range(40)]\n"
+            "print(repr(classify(Graph.from_edges(41, edges), 64)))"
+        )
+        expected = Classification(CLASS_ONE, 21, MultipleCovers(0x15555555555, 0x15555555556))
+        assert run_capped(source).stdout == repr(expected) + "\n"
+
+    def test_ties_below_alpha(self):
+        cls = classify(ties_below_alpha(), 64)
+        assert cls.verdict == CLASS_ONE and cls.c == 23
+        assert isinstance(cls.reason, MultipleCovers)
 
     def test_k11_23_class_two(self):
         g = gen.complete_bipartite(11, 23)

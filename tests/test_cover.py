@@ -13,7 +13,12 @@ from alcuin import (
     min_covers,
 )
 from alcuin import generators as gen
-from alcuin.cover import _maximum_independent_sets, independent_levels
+from alcuin.cover import (
+    _lowest_covers,
+    _maximum_independent_sets,
+    check_minimum_cover,
+    independent_levels,
+)
 from brute import (
     brute_alpha,
     brute_hall_strict,
@@ -26,6 +31,21 @@ from capped import budget_error
 
 def matching(m: int) -> Graph:
     return Graph.from_edges(2 * m, [(2 * i, 2 * i + 1) for i in range(m)])
+
+
+def padded_matching(m: int) -> Graph:
+    """m disjoint edges with an isolated vertex after each."""
+    return Graph.from_edges(3 * m, [(3 * i, 3 * i + 1) for i in range(m)])
+
+
+def ties_below_alpha() -> Graph:
+    """Vertex 0 joined to 1 and 2, and vertex 1 to the first vertex of each
+    of 11 disjoint triangles on 3..35.  Taking 0 first gives 3^11 independent
+    sets of size 12, while alpha = 13 ({1, 2} and two choices per triangle)."""
+    edges = [(0, 1), (0, 2)]
+    for t in range(3, 36, 3):
+        edges += [(t, t + 1), (t + 1, t + 2), (t, t + 2), (1, t)]
+    return Graph.from_edges(36, edges)
 
 
 def random_union(seed: int, n: int) -> Graph:
@@ -67,6 +87,18 @@ class TestAlpha:
         for seed in range(30):
             g = gen.random_graph(7, 0.4, seed)
             assert alpha(g) == brute_alpha(g)
+
+    def test_agrees_with_enumeration_across_components(self):
+        graphs = [random_union(seed, 12 + seed % 9) for seed in range(40)]
+        graphs += [padded_matching(m) for m in range(1, 11)]
+        graphs += [gen.edgeless(n) for n in (1, 7, 20)]
+        for g in graphs:
+            assert alpha(g) == _maximum_independent_sets(g)[0]
+
+    def test_matchings_take_one_end_per_edge(self):
+        # without degree-1 reductions alpha branched 2^m ways on a matching
+        assert not hall_strict(matching(16), 0x55555555)
+        assert check_minimum_cover(matching(32), 0x5555555555555555) is None
 
 
 class TestMinCovers:
@@ -167,6 +199,43 @@ class TestCoverCap:
 
     def test_the_cap_itself_is_accepted(self):
         assert len(min_covers(matching(16), 64).covers) == 65536
+
+    def test_ties_below_alpha_do_not_count(self):
+        # the first search passes the cap with ties of size 12; alpha = 13
+        # sends it round again
+        rep = min_covers(ties_below_alpha(), 64)
+        assert rep.beta == 23 and len(rep.covers) == 2048
+        assert _lowest_covers(ties_below_alpha(), 64) == (23, rep.covers[:2])
+
+
+class TestLowestCovers:
+    """beta and the first two minimum covers, found without listing the rest."""
+
+    @staticmethod
+    def reference(g):
+        a, sets = brute_maximum_independent_sets(g)
+        return g.n - a, tuple(sorted(g.full_mask ^ s for s in sets)[:2])
+
+    def test_every_graph_up_to_six_vertices(self):
+        for n in range(7):
+            for g in gen.all_labeled_graphs(n):
+                beta, covers = brute_min_covers(g)
+                assert _lowest_covers(g, 6) == (beta, tuple(covers[:2]))
+
+    def test_random_unions_of_components(self):
+        for seed in range(40):
+            g = random_union(seed, 12 + seed % 9)
+            assert _lowest_covers(g, 20) == self.reference(g)
+
+    def test_matchings_padded_with_isolated_vertices(self):
+        for m in range(1, 11):
+            g = padded_matching(m)
+            assert _lowest_covers(g, 30) == self.reference(g)
+
+    def test_vertex_budget_as_min_covers(self):
+        message = "^cover enumeration for n=4 exceeds the limit 3$"
+        with pytest.raises(BudgetExceededError, match=message):
+            _lowest_covers(gen.cycle(4), 3)
 
 
 class TestMaximumIndependentSets:
