@@ -1,20 +1,19 @@
 """Exact independence and vertex-cover computations.
 
 Every route below splits the graph into connected components first: a
-maximum independent set is one maximum set per component.  There are three.
+maximum independent set is one maximum set per component.  There are two.
 
 - alpha() finds the independence number by branch and bound.  It takes
   every vertex of degree 0 or 1 and branches on a vertex of maximum degree.
-- min_covers() lists every maximum independent set with an include-first
-  search and its own size bound, and complements them.  It consults alpha
-  only when a component overflows the cover cap, to tell ties below alpha
-  from real ones; the sets it lists carry their own size, so a wrong alpha
-  can end in nothing found but never in a wrong list.  alpha + beta = n
-  therefore checks these two routes against each other.
-- _lowest_covers(), behind classify and synthesize, finds beta and the one
-  or two lowest minimum covers without listing the rest.  It takes each
-  component's alpha from the first route as its bound, and the tests check
-  its answer against the first two covers of the second.
+- _highest_maximum_sets() lists a component's maximum independent sets,
+  highest first, by an include-first search that takes the component's
+  alpha from the first route as a fixed floor, and stops after as many as
+  its caller wants.  min_covers() asks for one more than the cover cap and
+  complements every set; _lowest_covers(), behind classify and synthesize,
+  asks for two and reads off beta and the one or two lowest minimum covers.
+  A wrong alpha raises when the search meets a set larger than alpha or
+  finds none as large; the tests check alpha and both callers against
+  brute-force references.
 
 Above their vertex budget the cover routes raise rather than search.
 independent_levels() lists the independent subsets of a cover one size at a
@@ -98,11 +97,9 @@ def _alpha_search(adj: tuple[int, ...], remaining: int, size: int, best: int) ->
     maximum independent set, since it can replace its one neighbor (Fomin,
     Grandoni and Kratsch, J. ACM 56(5), 2009).  Then it branches on the
     lowest-index maximum-degree vertex: first exclude it, then include it
-    and drop its closed neighborhood.  This rule differs from the cover
-    enumeration's, so alpha + beta = n checks two independent searches.
-    A branch is cut when it cannot beat best even if the independent set
-    misses only the fewest vertices that can cover the remaining edges: at
-    least edges / maximum degree of them.
+    and drop its closed neighborhood.  A branch is cut when it cannot beat
+    best even if the independent set misses only the fewest vertices that
+    can cover the remaining edges: at least edges / maximum degree of them.
     """
     if size + remaining.bit_count() <= best:
         return best
@@ -134,34 +131,52 @@ def _alpha_search(adj: tuple[int, ...], remaining: int, size: int, best: int) ->
     return _alpha_search(adj, remaining & ~(adj[v] | bit), size + 1, best)
 
 
-def _component_mis(adj: tuple[int, ...], comp: int, floor: int = -1) -> tuple[int, list[int]]:
-    """(alpha, every maximum independent set) of the subgraph induced on comp.
+def _highest_maximum_sets(g: Graph, want: int) -> Iterator[tuple[int, list[int]]]:
+    """Per connected component, in order of lowest vertex: (alpha, its
+    highest maximum independent sets in descending mask order, at most want
+    of them).
 
-    Include-first DFS on the lowest candidate vertex, where the candidates
-    are the undecided vertices with no neighbor in the chosen set.  A branch
-    is cut once even taking every candidate stays below the best size seen,
-    which starts at floor; sets that tie the best are kept, so every maximum
-    set is reported once.  It stops once more than MAX_COVERS sets tie.
+    Include-first DFS on the highest candidate, where the candidates are the
+    undecided vertices with no neighbor in the chosen set, cut once size +
+    |cand| drops below the component's alpha; at exactly alpha a hit must
+    take every candidate, so it is chosen | cand if the candidates are
+    independent, and there is none otherwise.  Both branches at a vertex
+    agree on every decided vertex and every remaining candidate lies below
+    the branching vertex, so every set from the include branch is above
+    every set from the exclude branch: hits arrive in descending mask order.
+    A hit has alpha vertices, so it is a maximum set.  A wrong alpha raises
+    RuntimeError when a branch runs out of candidates with more than alpha
+    vertices chosen, or when no set reaches alpha.
     """
-    best = floor
-    found: list[int] = []
+    adj = g.adj
+    for comp in _components(adj, g.full_mask):
+        alpha_c = _alpha_within(adj, comp)
+        hits: list[int] = []
 
-    def rec(cand: int, chosen: int, size: int) -> None:
-        nonlocal best, found
-        if size + cand.bit_count() < best or len(found) > MAX_COVERS:
-            return
-        if not cand:
-            if size > best:
-                best, found = size, [chosen]
-            else:
-                found.append(chosen)
-            return
-        bit = cand & -cand
-        rec(cand & ~(adj[bit.bit_length() - 1] | bit), chosen | bit, size + 1)
-        rec(cand ^ bit, chosen, size)
+        def rec(cand: int, chosen: int, size: int) -> None:
+            slack = size + cand.bit_count() - alpha_c
+            if slack <= 0:
+                if slack == 0:
+                    m = cand
+                    while m:
+                        low = m & -m
+                        if adj[low.bit_length() - 1] & cand:
+                            return
+                        m ^= low
+                    hits.append(chosen | cand)
+                return
+            if not cand:
+                raise RuntimeError(f"independent set of {size} vertices above alpha={alpha_c}")
+            v = cand.bit_length() - 1
+            bit = 1 << v
+            rec(cand & ~(adj[v] | bit), chosen | bit, size + 1)
+            if len(hits) < want:
+                rec(cand ^ bit, chosen, size)
 
-    rec(comp, 0, 0)
-    return best, found
+        rec(comp, 0, 0)
+        if not hits:
+            raise RuntimeError(f"no independent set of size alpha={alpha_c} found")
+        yield alpha_c, hits
 
 
 def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
@@ -169,24 +184,12 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
 
     A maximum independent set is a union of one maximum set per component,
     so alpha is the sum of the component alphas and the sets are every
-    combination of the component sets, counted before they are listed.
-
-    A component whose search stops at the cap may have tied below its
-    alpha (the best size seen can still grow).  Then alpha decides: ties of
-    size alpha are over the cap, and smaller ties send the search round
-    again with alpha as its floor.
+    combination of the component sets, counted before they are listed.  A
+    component's search stops one set past the cap, enough to count past it.
     """
-    adj = g.adj
     total, sets = 0, [0]
-    for comp in _components(adj, g.full_mask):
-        size, found = _component_mis(adj, comp)
-        if len(found) > MAX_COVERS:
-            alpha_c = _alpha_within(adj, comp)
-            if size < alpha_c:
-                size, found = _component_mis(adj, comp, alpha_c)
-                if not found:
-                    raise RuntimeError(f"no independent set of size alpha={alpha_c} found")
-        total += size
+    for alpha_c, found in _highest_maximum_sets(g, MAX_COVERS + 1):
+        total += alpha_c
         count = len(sets) * len(found)
         if count > MAX_COVERS:
             raise BudgetExceededError(
@@ -218,68 +221,26 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
     return CoverReport(g.n - a, tuple(sorted(full ^ s for s in sets)))
 
 
-def _highest_sets(
-    adj: tuple[int, ...], cand: int, chosen: int, size: int, floor: int, hits: list[int]
-) -> None:
-    """Append to hits, highest first, the independent sets of at least
-    floor vertices that extend chosen by candidates until none is left,
-    stopping once hits holds two.
-
-    Include-first DFS on the highest candidate, cut once size + |cand|
-    drops below floor; at exactly floor a hit must take every candidate,
-    so it is chosen | cand if the candidates are independent, and there is
-    none otherwise.  Both branches at a vertex agree on every decided
-    vertex and every remaining candidate lies below the branching vertex,
-    so every set from the include branch is above every set from the
-    exclude branch: leaves arrive in descending mask order, and the first
-    two hits are the two highest.  With floor = alpha, a hit is a leaf
-    whose set cannot grow, so it is a maximum set.
-    """
-    slack = size + cand.bit_count() - floor
-    if slack <= 0:
-        if slack == 0:
-            m = cand
-            while m:
-                low = m & -m
-                if adj[low.bit_length() - 1] & cand:
-                    return
-                m ^= low
-            hits.append(chosen | cand)
-        return
-    v = cand.bit_length() - 1
-    bit = 1 << v
-    _highest_sets(adj, cand & ~(adj[v] | bit), chosen | bit, size + 1, floor, hits)
-    if len(hits) < 2:
-        _highest_sets(adj, cand ^ bit, chosen, size, floor, hits)
-
-
 def _lowest_covers(g: Graph, full_limit: int) -> tuple[int, tuple[int, ...]]:
     """(beta, the one or two lowest minimum covers, ascending); two iff the
     minimum cover is not unique.  Nothing else is listed, so no cover cap
     applies; the vertex budget is min_covers'.
 
     The lowest covers are the complements of the highest maximum
-    independent sets.  Per component, _highest_sets with the component's
-    alpha as floor gives its highest maximum set first_c and, if there is
-    one, its second highest second_c.  The highest union is top, the OR of
-    every first_c.  The second highest is the largest top ^ first_c ^
-    second_c.  Proof: a union is at most another when it is at most in
-    each component, because the highest bit where the two differ is the
-    highest bit where their parts in one component differ.  A union S
-    other than top has S_c != first_c in some component c, so S_c <=
-    second_c there and S_k <= first_k everywhere else: S <= top ^ first_c
-    ^ second_c.
+    independent sets.  Per component, _highest_maximum_sets asked for two
+    gives its highest maximum set first_c and, if there is one, its second
+    highest second_c.  The highest union is top, the OR of every first_c.
+    The second highest is the largest top ^ first_c ^ second_c.  Proof: a
+    union is at most another when it is at most in each component, because
+    the highest bit where the two differ is the highest bit where their
+    parts in one component differ.  A union S other than top has S_c !=
+    first_c in some component c, so S_c <= second_c there and S_k <=
+    first_k everywhere else: S <= top ^ first_c ^ second_c.
     """
     _check_budget(g, full_limit)
-    adj = g.adj
     total = top = 0
     flips = []  # first_c ^ second_c for each component with two maximum sets
-    for comp in _components(adj, g.full_mask):
-        alpha_c = _alpha_within(adj, comp)
-        hits: list[int] = []
-        _highest_sets(adj, comp, 0, 0, alpha_c, hits)
-        if not hits:
-            raise RuntimeError(f"no independent set of size alpha={alpha_c} found")
+    for alpha_c, hits in _highest_maximum_sets(g, 2):
         total += alpha_c
         top |= hits[0]
         if len(hits) == 2:

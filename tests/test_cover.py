@@ -12,6 +12,7 @@ from alcuin import (
     mask_of,
     min_covers,
 )
+from alcuin import cover
 from alcuin import generators as gen
 from alcuin.cover import (
     _lowest_covers,
@@ -93,7 +94,7 @@ class TestAlpha:
         graphs += [padded_matching(m) for m in range(1, 11)]
         graphs += [gen.edgeless(n) for n in (1, 7, 20)]
         for g in graphs:
-            assert alpha(g) == _maximum_independent_sets(g)[0]
+            assert alpha(g) == brute_maximum_independent_sets(g)[0]
 
     def test_matchings_take_one_end_per_edge(self):
         # without degree-1 reductions alpha branched 2^m ways on a matching
@@ -171,7 +172,7 @@ class TestMinCovers:
 
     def test_gallai_identity(self):
         for g in gen.all_labeled_graphs(5):
-            assert alpha(g) + min_covers(g).beta == g.n
+            assert brute_alpha(g) + min_covers(g).beta == g.n
 
 
 class TestCoverCap:
@@ -201,8 +202,8 @@ class TestCoverCap:
         assert len(min_covers(matching(16), 64).covers) == 65536
 
     def test_ties_below_alpha_do_not_count(self):
-        # the first search passes the cap with ties of size 12; alpha = 13
-        # sends it round again
+        # 3^11 independent sets of size 12 pass the cap, but alpha = 13 is
+        # the floor, so only the 2,048 maximum sets are listed
         rep = min_covers(ties_below_alpha(), 64)
         assert rep.beta == 23 and len(rep.covers) == 2048
         assert _lowest_covers(ties_below_alpha(), 64) == (23, rep.covers[:2])
@@ -257,6 +258,19 @@ class TestMaximumIndependentSets:
             self.assert_matches_reference(gen.edgeless(n))
         # a matching padded with isolated vertices
         self.assert_matches_reference(Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(7)]))
+
+    @pytest.mark.parametrize("error", [-1, 1])
+    def test_wrong_alpha_raises(self, monkeypatch, error):
+        # alpha is each search's floor, so a wrong one must fail loudly
+        alpha_within = cover._alpha_within
+        monkeypatch.setattr(
+            "alcuin.cover._alpha_within", lambda adj, comp: alpha_within(adj, comp) + error
+        )
+        message = f"alpha={1 + error}"
+        with pytest.raises(RuntimeError, match=message):
+            min_covers(matching(3))
+        with pytest.raises(RuntimeError, match=message):
+            _lowest_covers(matching(3), 16)
 
     def test_random_unions_of_components(self):
         for seed in range(40):
