@@ -130,14 +130,14 @@ def classify_covers(g: Graph, report: CoverReport) -> Classification:
     For callers that hold the full report anyway, such as analyze, which
     prints every cover; classify itself finds only the covers it reads.
     """
-    if g.n == 0:
-        return Classification(CLASS_ONE, 0, Degenerate())
     return _decide(g, report.beta, report.covers)
 
 
 def _decide(g: Graph, beta: int, covers: tuple[int, ...]) -> Classification:
     """The verdict from beta and the lowest minimum covers, ascending; only
-    the first two are read."""
+    the first two are read.  The one place that turns covers into c(G)."""
+    if g.n == 0:  # nothing to carry: c = 0, where an edgeless graph has c = 1
+        return Classification(CLASS_ONE, 0, Degenerate())
     if len(covers) >= 2:
         return Classification(CLASS_ONE, beta, MultipleCovers(covers[0], covers[1]))
     outcome = _pair_scan(g, covers[0])
@@ -155,8 +155,6 @@ def classify(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Classifi
     unique cover is empty) come out class two with c=1, matching the search
     oracle.  Raises BudgetExceededError above the cover vertex limit.
     """
-    if g.n == 0:  # ahead of the budget check: nothing to search at any limit
-        return Classification(CLASS_ONE, 0, Degenerate())
     return _decide(g, *_lowest_covers(g, cover_limit))
 
 

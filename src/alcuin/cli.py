@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, Iterator
 
 from . import generators, io, oracle
-from .classify import CLASS_TWO, _close_pair, classify_covers
+from .classify import CLASS_TWO, _close_pair, classify, classify_covers
 from .cover import DEFAULT_ENUMERATION_LIMIT, _sparse_subset, min_covers
 from .errors import BudgetExceededError
 from .ferry import Schedule, verify_schedule
@@ -191,19 +191,20 @@ _VIOLATION_KEYS = (
 
 
 def _graph_record(g: Graph, with_oracle: bool) -> dict[str, Any]:
-    """Survey totals for the one graph g, in the shape _merge folds.  The
-    oracle finds its own beta; the class-two checks skip the minimality
-    proof, since covers[0] is minimum by construction."""
-    covers = min_covers(g)
-    cls = classify_covers(g, covers)
-    beta = covers.beta
+    """Survey totals for the one graph g, in the shape _merge folds.  Beta
+    is read off the classification, c = beta + 1 for class two and beta
+    otherwise; the oracle finds its own.  The class-two checks run on the
+    classification's cover and skip the minimality proof, since classify
+    found that cover as a minimum one."""
+    cls = classify(g)
+    beta = cls.c - (cls.verdict == CLASS_TWO)
     disagree = False
     if with_oracle:
         c, _ = oracle.alcuin_exact(g)
         disagree = c != cls.c or not beta <= c <= beta + 1
     violations = dict.fromkeys(_VIOLATION_KEYS, 0)
     if cls.verdict == CLASS_TWO:
-        cover = covers.covers[0]
+        cover = cls.reason.cover
         violations.update(
             strict_hall=int(_sparse_subset(g, cover, 1) is not None),
             double_expansion=int(_sparse_subset(g, cover, 2) is not None),

@@ -9,8 +9,9 @@ maximum independent set is one maximum set per component.  There are two.
   highest first, by an include-first search that takes the component's
   alpha from the first route as a fixed floor, and stops after as many as
   its caller wants.  min_covers() asks for one more than the cover cap and
-  complements every set; _lowest_covers(), behind classify and synthesize,
-  asks for two and reads off beta and the one or two lowest minimum covers.
+  complements every set; _lowest_covers(), behind classify and so behind
+  every decision of c(G), asks for two and reads off beta and the one or
+  two lowest minimum covers.
   A wrong alpha raises when the search meets a set larger than alpha or
   finds none as large; the tests check alpha and both callers against
   brute-force references.
@@ -200,8 +201,9 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
 
 
 def _check_budget(g: Graph, full_limit: int) -> None:
-    """The vertex budget of both cover searches, checked before either runs."""
-    if g.n > full_limit:
+    """The vertex budget of both cover searches, checked before either runs.
+    The empty graph needs no search, so no limit applies to it."""
+    if g.n and g.n > full_limit:
         raise BudgetExceededError(
             f"cover enumeration for n={g.n} exceeds the limit {full_limit}"
         )
@@ -211,9 +213,9 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
     """Every minimum vertex cover, as complements of maximum independent sets.
 
     Raises BudgetExceededError, before any search, when g has more than
-    full_limit vertices: one cover alone cannot tell whether it is unique,
-    so there is no partial answer.  It also raises, at any full_limit, once
-    the covers number more than MAX_COVERS.
+    full_limit vertices and at least one: one cover alone cannot tell
+    whether it is unique, so there is no partial answer.  It also raises,
+    at any full_limit, once the covers number more than MAX_COVERS.
     """
     _check_budget(g, full_limit)
     a, sets = _maximum_independent_sets(g)
@@ -224,7 +226,8 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
 def _lowest_covers(g: Graph, full_limit: int) -> tuple[int, tuple[int, ...]]:
     """(beta, the one or two lowest minimum covers, ascending); two iff the
     minimum cover is not unique.  Nothing else is listed, so no cover cap
-    applies; the vertex budget is min_covers'.
+    applies; the vertex budget is min_covers'.  This is classify's search;
+    synthesize and survey read classify's answer rather than call it.
 
     The lowest covers are the complements of the highest maximum
     independent sets.  Per component, _highest_maximum_sets asked for two

@@ -169,9 +169,15 @@ def structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | No
     therefore exists iff |Y1| + |Y2| >= |X & N(Y1) & N(Y2)|, and then
     X1 = X - N(Y1), X2 = X & N(Y1) - N(Y2), X3 = X & N(Y1) & N(Y2) is one.
     The bound is symmetric in Y1 and Y2, so unordered pairs suffice.
+
+    Raises ValueError for b < 1 and for the empty graph: Y1 and Y2 are
+    nonempty, so a graph with no vertex has no witness at any capacity,
+    though it is feasible at every one; None would wrongly mean infeasible.
     """
     if b < 1:
         raise ValueError("capacity must be at least 1")
+    if g.n == 0:
+        raise ValueError("the empty graph has no five-set witness")
     if g.n > limit:
         raise BudgetExceededError(f"structure search for n={g.n} exceeds the limit {limit}")
     full = g.full_mask

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .classify import PairWitness, _pair_scan
-from .cover import DEFAULT_ENUMERATION_LIMIT, _lowest_covers, check_minimum_cover
+from .classify import ConditionHolds, MultipleCovers, PairWitness, classify
+from .cover import DEFAULT_ENUMERATION_LIMIT, check_minimum_cover
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, verify_schedule
 from .graph import Graph, bits, is_independent, neighbors_in, vertices_of
 
@@ -109,24 +109,25 @@ def _from_witness(g: Graph, cover: int, s: int, t: int) -> Schedule:
 def synthesize(g: Graph, cover_limit: int = DEFAULT_ENUMERATION_LIMIT) -> Schedule:
     """A feasible schedule whose capacity is exactly the Alcuin number.
 
-    The pair scan on the lowest minimum cover decides: a witness gives the
-    construction at beta (class one), ConditionHolds the generic schedule at
-    beta+1 (class two).  One cover is enough, since a cover C that is not
-    unique fails strict expansion on some independent A, |N(A) - C| <= |A|,
-    and (A, A) is then a witness; the search for the lowest cover also finds
-    a second one if there is one, which checks that.  Raises
+    Builds from the reason classify gives: the generic schedule at beta+1
+    when the condition holds (class two), the witness construction at beta
+    from a pair witness.  Two minimum covers C1 != C2 are their own witness:
+    A = C1 - C2 is nonempty and independent, since C2 covers every edge
+    inside it, and each neighbor of A outside C1 is in C2 - C1, because C2
+    covers the edge to it.  Both covers have beta vertices, so |C2 - C1| =
+    |A|: A has at most |A| outside neighbors and (A, A) is a pair witness
+    on C1.  Raises
     BudgetExceededError above the cover vertex limit.
     """
-    if g.n == 0:
-        return Schedule(0, ())
-    _, covers = _lowest_covers(g, cover_limit)
-    cover = covers[0]
-    outcome = _pair_scan(g, cover)
-    if isinstance(outcome, PairWitness):
-        return _from_witness(g, cover, outcome.s, outcome.t)
-    if len(covers) > 1:
-        raise RuntimeError("pair scan found no witness on a cover that is not unique")
-    return _generic(g, cover)
+    reason = classify(g, cover_limit).reason
+    if isinstance(reason, ConditionHolds):
+        return _generic(g, reason.cover)
+    if isinstance(reason, PairWitness):
+        return _from_witness(g, reason.cover, reason.s, reason.t)
+    if isinstance(reason, MultipleCovers):
+        a = reason.cover & ~reason.cover2
+        return _from_witness(g, reason.cover, a, a)
+    return Schedule(0, ())  # Degenerate: nothing to carry
 
 
 def render_trace(g: Graph, sched: Schedule, labels: Sequence[str] | None = None) -> str:

@@ -157,7 +157,9 @@ def test_criterion_03_schedule_soundness(universe):
 
 def test_criterion_04_unique_cover_equivalence(universe):
     # a cover that is not unique fails strict expansion on some independent
-    # A, and (A, A) is then a pair witness: synthesize relies on this
+    # A, and (A, A) is then a pair witness, so the pair scan alone finds
+    # class one on any minimum cover; synthesize takes A = C1 - C2 straight
+    # from two covers and needs no scan
     verdict_line(
         "04 unique-cover-equivalence",
         not universe.hall_mismatches and not universe.first_cover_witness_misses,

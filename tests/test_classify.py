@@ -16,6 +16,7 @@ from alcuin import (
     PairWitness,
     classification_condition,
     classify,
+    classify_covers,
     exists_2x_witness,
     fast_paths,
     hall_strict,
@@ -86,8 +87,11 @@ class TestClassify:
             assert cls.reason == ConditionHolds(0)
 
     def test_empty_graph_degenerate(self):
-        cls = classify(Graph(0, ()))
+        g = Graph(0, ())
+        cls = classify(g)
         assert cls.c == 0 and cls.reason == Degenerate()
+        # no vertex budget applies to a graph with nothing to search
+        assert classify(g, -1) == classify_covers(g, min_covers(g, -1)) == cls
 
     def test_two_leaf_star_class_one(self):
         cls = classify(gen.star(2))

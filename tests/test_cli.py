@@ -11,8 +11,8 @@ import pytest
 from alcuin import cli
 from alcuin import generators as gen
 from alcuin.cli import main, survey_enumerate, survey_stream
-from alcuin.classify import classify_covers
-from alcuin.cover import CoverReport, min_covers
+from alcuin.classify import Classification, ConditionHolds, classify_covers
+from alcuin.cover import min_covers
 from alcuin.io import parse_graph6, report_json, schedule_json, serialize_graph6
 from alcuin.oracle import alcuin_exact
 from alcuin.schedule import synthesize
@@ -326,9 +326,11 @@ class TestSurvey:
         assert digest == "8a432ffd4c8a4f66848c59441fecd90d422d42675d9e6a372e1821ba76265d36"
 
     def test_oracle_finds_its_own_beta(self, monkeypatch):
-        # a cover code that reports beta one too high: {0, 1} covers P3
-        # but is not minimum, so the classifier answers c = 2 where c = 1
-        monkeypatch.setattr(cli, "min_covers", lambda g: CoverReport(2, (0b011,)))
+        # a classifier that reads beta one too high off {0, 1}, which
+        # covers P3 but is not minimum, so it answers c = 2 where c = 1
+        monkeypatch.setattr(
+            cli, "classify", lambda g: Classification("two", 2, ConditionHolds(0b011))
+        )
         record = cli._graph_record(gen.path(3), with_oracle=True)
         assert record["disagreements"] == 1
         assert record["offenders"] == ["Bg"]

@@ -165,6 +165,12 @@ class TestMinCovers:
             min_covers(gen.cycle(4), full_limit=3)
         assert min_covers(gen.random_graph(18, 0.3, 5), full_limit=18).complete
 
+    def test_empty_graph_needs_no_budget(self):
+        # nothing to search, so no limit applies, as in the oracle
+        g = Graph(0, ())
+        assert min_covers(g, -1) == CoverReport(0, (0,))
+        assert _lowest_covers(g, -1) == (0, (0,))
+
     def test_matching32_raises_at_default_limit(self):
         # 2^32 covers: at the default limit this must fail fast, not search
         with pytest.raises(BudgetExceededError, match="n=64 exceeds the limit 16"):

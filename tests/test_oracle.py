@@ -259,6 +259,31 @@ def test_oracle_imports_no_cover_or_classifier_code():
     assert _package_imports("schedule") >= {"ferry", "classify", "cover"}  # the walk sees them
 
 
+def _private_names_reached(module: str) -> set[str]:
+    """Names one module of the package imports from another, or reads as
+    an attribute of one (cover._lowest_covers after from . import cover)."""
+    tree = ast.parse((Path(oracle.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_only_classify_decides_c():
+    # classify is the one place that turns beta and covers into c(G);
+    # synthesize, the survey and the rest read its Classification
+    modules = sorted(p.stem for p in Path(oracle.__file__).parent.glob("*.py"))
+    assert {"classify", "cli", "schedule", "__init__"} <= set(modules)
+    assert "_lowest_covers" in _private_names_reached("classify")  # the walk sees them
+    for module in modules:
+        if module != "classify":
+            reached = _private_names_reached(module) & {"_lowest_covers", "_pair_scan"}
+            assert not reached, (module, reached)
+
+
 class TestAlcuinExact:
     def test_path(self):
         c, sched = alcuin_exact(P3)

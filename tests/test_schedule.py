@@ -1,16 +1,24 @@
+import hashlib
+
 import pytest
 
 from alcuin import (
+    Classification,
     ConditionHolds,
+    Degenerate,
     Graph,
+    MultipleCovers,
+    PairWitness,
     Move,
     Schedule,
     StructureWitness,
     alcuin_exact,
     classify,
     feasible,
+    is_independent,
     mask_of,
     min_covers,
+    neighbors_in,
     render_trace,
     schedule_from_witness,
     schedule_generic,
@@ -31,6 +39,7 @@ from alcuin.ferry import (
     RIGHT_TO_LEFT,
     WRONG_DIRECTION,
 )
+from alcuin.io import schedule_json
 from brute import brute_structure_search
 
 P3 = gen.path(3)  # w=0, g=1, c=2
@@ -203,6 +212,12 @@ def test_cover_check_cannot_be_switched_off():
         schedule_from_witness(P3, G, G, G, validate=False)
 
 
+@pytest.fixture(scope="module")
+def small_classified():
+    """(g, classify(g)) for every labeled graph with n <= 6."""
+    return [(g, classify(g)) for n in range(7) for g in gen.all_labeled_graphs(n)]
+
+
 class TestSynthesize:
     def test_path(self):
         sched = synthesize(P3)
@@ -218,11 +233,63 @@ class TestSynthesize:
         sched = synthesize(g)
         assert sched.capacity == 2 and verify_schedule(g, sched) is None
 
-    def test_no_witness_on_a_cover_that_is_not_unique_raises(self, monkeypatch):
-        # C4 has two minimum covers, so the scan on the first must find a witness
-        monkeypatch.setattr("alcuin.schedule._pair_scan", lambda g, c: ConditionHolds(c))
-        with pytest.raises(RuntimeError, match="not unique"):
-            synthesize(gen.cycle(4))
+    @pytest.mark.parametrize(
+        "reason, expected",
+        [
+            # C4's covers are {0, 2} and {1, 3}; each reason below is one
+            # classify could give, and synthesize must build from it alone
+            (ConditionHolds(0b1010), lambda g: schedule_generic(g, 0b1010)),
+            (
+                PairWitness(0b1010, 0b0010, 0b1000),
+                lambda g: schedule_from_witness(g, 0b1010, 0b0010, 0b1000),
+            ),
+            (
+                MultipleCovers(0b1010, 0b0101),
+                lambda g: schedule_from_witness(g, 0b1010, 0b1010, 0b1010),
+            ),
+            (Degenerate(), lambda g: Schedule(0, ())),
+        ],
+        ids=["condition_holds", "pair_witness", "multiple_covers", "degenerate"],
+    )
+    def test_builds_from_the_reason_classify_gives(self, monkeypatch, reason, expected):
+        g = gen.cycle(4)
+        seen = []
+
+        def stub(graph, cover_limit):
+            seen.append((graph, cover_limit))
+            return Classification("stub", 0, reason)
+
+        monkeypatch.setattr("alcuin.schedule.classify", stub)
+        assert synthesize(g, 7) == expected(g)
+        assert seen == [(g, 7)]
+
+    def test_two_covers_are_their_own_witness(self, small_classified):
+        # A = C1 - C2 is independent, as C2 covers its edges, and its
+        # outside neighbors lie in C2 - C1, which has |A| vertices
+        count = 0
+        for g, cls in small_classified:
+            if isinstance(cls.reason, MultipleCovers):
+                c1, c2 = cls.reason.cover, cls.reason.cover2
+                a = c1 & ~c2
+                assert a and is_independent(g, a), g
+                outside = neighbors_in(g, a, g.full_mask & ~c1)
+                assert outside.bit_count() <= a.bit_count(), g
+                count += 1
+        assert count > 0
+
+    def test_outputs_pinned(self, small_classified):
+        # every labeled graph with n <= 6, in all_labeled_graphs order
+        classified = hashlib.sha256()
+        synthesized = hashlib.sha256()
+        for g, cls in small_classified:
+            classified.update(f"{cls!r}\n".encode())
+            synthesized.update(f"{schedule_json(synthesize(g))}\n".encode())
+        assert classified.hexdigest() == (
+            "4bd5aad326d8e30b8d8c59a745b2785c6f67c1cb7a660c3c8a7bef2de27e45ea"
+        )
+        assert synthesized.hexdigest() == (
+            "f56355d7a5209e189e51ac4dbc8ead6a6beeb4261d3a0e911cb75ccd80a4fa41"
+        )
 
     def test_degenerate_and_edgeless(self):
         assert synthesize(Graph(0, ())) == Schedule(0, ())
@@ -307,6 +374,14 @@ class TestStructure:
             structure_search(P3, 0)
         with pytest.raises(BudgetExceededError):
             structure_search(gen.edgeless(11), 1)
+
+    def test_search_rejects_the_empty_graph(self):
+        # Y1 and Y2 are nonempty, so no witness exists, yet the empty graph
+        # is feasible at every capacity: None would claim the opposite
+        g = Graph(0, ())
+        assert feasible(g, 1).feasible
+        with pytest.raises(ValueError, match="empty graph"):
+            structure_search(g, 1)
 
     @staticmethod
     def _agrees_with_reference(g, b):
