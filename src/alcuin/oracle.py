@@ -22,8 +22,11 @@ the default limit of 12 vertices that is at most 4,096 sets.  Above it the
 cost grows with the table, not with the search: ``feasible(star(15), 1,
 limit=64)`` builds 32,769 sets to expand 33 states, about 20 ms where a
 per-state search takes 0.3 ms.  The enumerator raises BudgetExceededError
-past 65,536 sets, whatever the limit, and a search holds at most two
-states per set, so that bounds the search too.
+past 65,536 sets, whatever the limit, and a search holds two parent lists
+of len(sets) entries, plus the chunks not yet expanded, each a bitmap from
+its lowest state to its highest, so that bounds the search too: the
+search of ``feasible(edgeless(16), 1, limit=16)``, at the cap, peaks at
+about 5 MiB on top of its table.
 
 The oracle is the independent side of every cross-check, so it shares no
 code with the cover, classifier or construction modules: its whole import
@@ -115,44 +118,59 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     """Breadth-first search from everything on the left to the goal.
 
     A state ``i << 1 | side`` has the boat on side and sets[i] on the far
-    bank; its bit i in ``unseen[side]`` is cleared exactly when it enters
-    ``parents``.  So ``legal & unseen[side]``, walked in ascending index
-    (cargo) order, lists the same states in the same order as skipping
-    those in ``parents`` would: parents, queue order, states_expanded and
-    the schedule do not change.
+    bank; its bit i in ``unseen[side]`` is cleared when it is discovered.
+    Each expansion that discovers anything queues one chunk: the boat's new
+    side, the bitmap ``legal & unseen[side]`` of the states discovered,
+    shifted down by its lowest index, that index, and the expanded state,
+    their parent.  (Unshifted, a chunk of a few states far down a large
+    table would hold a bitmap over most of it.)  A chunk at the front of
+    the queue is expanded lowest bit first, ascending index (cargo) order,
+    so the states leave the queue in the order a queue of single states,
+    extended by each expansion's discoveries in cargo order, would yield:
+    expansions, parents and states_expanded do not change.  Only a state's
+    own chunk names its parent, so ``parents[side][i]`` is written when the
+    state is expanded, and every state on the path back from the goal has
+    been.  The goal, the empty far bank with the boat on the right, is the
+    top bit of ``unseen[1]`` (``unseen[0]`` lacks it: that state is the
+    start), so it is caught when discovered, and the path is read back
+    from the state that discovered it to the start, whose parent is -1.
     """
     sets = table.sets
     empty = len(sets) - 1  # sets[-1] is the empty set
-    start, goal = empty << 1, empty << 1 | 1
-    parents: dict[int, int] = {start: -1}
-    queue = deque([start])
+    # parents[side][i]: the state that discovered i << 1 | side
+    parents = ([-1] * len(sets), [-1] * len(sets))
+    queue = deque([(0, 1, empty, -1)])
     # unseen[side]: bit i set while state i << 1 | side is undiscovered
     unseen = [~(-1 << empty), ~(-1 << len(sets))]
+    legal, n = table.legal, g.n
     expanded = 0
-    while queue:
-        state = queue.popleft()
-        expanded += 1
-        side = ~state & 1  # the boat crosses: its side in every next state
-        new = table.legal(g.n, sets[state >> 1], b) & unseen[side]
-        unseen[side] ^= new
-        fresh = []
-        while new:
-            low = new & -new
-            new ^= low
-            fresh.append((low.bit_length() - 1) << 1 | side)
-        parents.update(dict.fromkeys(fresh, state))
-        if goal in parents:
-            break
-        queue.extend(fresh)
-    else:
+    last = -1  # the state that discovers the goal
+    while queue and last < 0:
+        side, chunk, base, parent = queue.popleft()
+        parent_of = parents[side]
+        cross = side ^ 1  # the boat crosses: its side in every next state
+        while chunk:
+            low = chunk & -chunk
+            chunk ^= low
+            i = base + low.bit_length() - 1
+            parent_of[i] = parent
+            expanded += 1
+            new = legal(n, sets[i], b) & unseen[cross]
+            if new:
+                if new >> empty:  # the goal
+                    last = i << 1 | side
+                    break
+                unseen[cross] ^= new
+                first = (new & -new).bit_length() - 1
+                queue.append((cross, new >> first, first, i << 1 | side))
+    if last < 0:
         return SearchResult(False, None, None, expanded)
     moves: list[Move] = []
-    state = goal
-    while state != start:
-        prev = parents[state]
+    state, prev = empty << 1 | 1, last
+    while prev >= 0:
         direction = RIGHT_TO_LEFT if prev & 1 else LEFT_TO_RIGHT
         moves.append(Move(direction, g.full_mask ^ sets[prev >> 1] ^ sets[state >> 1]))
-        state = prev
+        state, prev = prev, parents[prev & 1][prev >> 1]
     moves.reverse()
     return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)
 

@@ -5,6 +5,7 @@ The n <= 6 exhaustive sweep is shared by several criteria through a
 module-scoped fixture; it also enforces the ten-minute single-thread budget.
 """
 
+import hashlib
 import time
 
 import pytest
@@ -12,6 +13,11 @@ import pytest
 import alcuin
 from alcuin import generators as gen
 from alcuin.io import parse_graph6, serialize_graph6
+
+# sha256 of repr((c, schedule)) from alcuin_exact, concatenated over every
+# labeled graph with at most 6 vertices in generation order: pins the
+# oracle's shortest schedules, tie-breaks included
+ORACLE_N6_SHA256 = "dbea204a5ae39117219d6be3d95bb6516b9b1d5d0fd0f821603ba97297dacccc"
 
 
 def verdict_line(name, ok, detail=""):
@@ -37,6 +43,7 @@ class Universe:
         self.fast_path_contradictions = []
         self.girth_violations = []  # class two with beta >= 2 needs girth <= 4
         self.regular_girth_violations = []  # regular (r >= 1) class two needs girth 3
+        self.oracle_digest = hashlib.sha256()
         self.elapsed = 0.0
 
 
@@ -53,6 +60,7 @@ def universe():
             cls = alcuin.classify(g)
             beta = rep.beta
             c_exact, oracle_sched = alcuin.alcuin_exact(g, beta=beta)
+            stats.oracle_digest.update(repr((c_exact, oracle_sched)).encode())
 
             if cls.c != c_exact:
                 stats.disagreements.append(tag)
@@ -136,13 +144,15 @@ def test_criterion_02_exhaustive_oracle_agreement(universe):
         and sum(universe.graphs_by_n.values()) == 32768 + 1024 + 64 + 8 + 2 + 1 + 1
         and not universe.disagreements
         and not universe.sandwich_violations
+        and universe.oracle_digest.hexdigest() == ORACLE_N6_SHA256
         and universe.elapsed < 600.0
     )
     verdict_line(
         "02 exhaustive-oracle-agreement",
         ok,
         f"disagreements={universe.disagreements[:5]} "
-        f"sandwich={universe.sandwich_violations[:5]} elapsed={universe.elapsed:.1f}s",
+        f"sandwich={universe.sandwich_violations[:5]} "
+        f"oracle sha256={universe.oracle_digest.hexdigest()} elapsed={universe.elapsed:.1f}s",
     )
 
 

@@ -153,10 +153,20 @@ class TestReferenceSearch:
                     assert feasible(g, b, limit=n) == brute_feasible(g, b)
 
     def test_random_graphs(self):
+        # both capacities alcuin_exact searches
         for i in range(24):
             g = gen.random_graph(10 + i % 3, (0.2, 0.35, 0.5)[i // 8], 100 + i)
             beta, _ = brute_min_covers(g)
-            assert feasible(g, beta) == brute_feasible(g, beta)
+            for b in (beta, beta + 1):
+                assert feasible(g, b) == brute_feasible(g, b)
+
+    def test_goal_in_the_first_chunk(self):
+        # the start's one expansion discovers the goal: a one-move schedule
+        g = gen.edgeless(5)
+        res = feasible(g, 5)
+        assert res == brute_feasible(g, 5)
+        assert (res.min_crossings, res.states_expanded) == (1, 1)
+        assert [(m.direction, m.cargo) for m in res.schedule.moves] == [(LR, 31)]
 
 
 class TestSharedTable:
