@@ -7,12 +7,16 @@ enumerator in `ferry` that the five-set search also walks), naming K, plus
 the boat's side, packed as ``i << 1 | side`` (side 0 = left).  The legal
 moves from it leave behind the sets J that avoid K with |J| >= n - |K| - b
 and carry ``full ^ K ^ J``.  The table runs descending by size, then mask,
-so they are one bitmap over it, a prefix less the sets that meet K (an OR
-of per-vertex membership bitmaps), and ascending index is ascending cargo
-by size, then mask: BFS tie-breaks, and so shortest-schedule traces, are
-fixed.  One bitmap of unseen states per boat side drops, by one AND, the
-moves to states already seen before any is listed, the visited-bitmap test
-of direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012): on
+so they are one bitmap over it, a prefix by size less the sets that meet
+K (an OR of per-vertex membership bitmaps), and ascending index is
+ascending cargo by size, then mask: BFS tie-breaks, and so
+shortest-schedule traces, are fixed.  The membership bitmaps are the
+table transposed without a Python loop over the sets: the sets are packed
+as 64-bit words, and each vertex's bitmap is a strided byte slice of
+them, translated to binary digits and read by int().  One bitmap of
+unseen states per boat side drops, by one AND, the moves to states
+already seen before any is listed, the visited-bitmap test of
+direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012): on
 the benchmark's oracle12 graphs only 71,140 of 1,550,363 legal moves lead
 somewhere new.
 
@@ -20,7 +24,7 @@ The trade-off: the table is built in full before the search, so a search
 that stops early still pays for every independent set of the graph.  At
 the default limit of 12 vertices that is at most 4,096 sets.  Above it the
 cost grows with the table, not with the search: ``feasible(star(15), 1,
-limit=64)`` builds 32,769 sets to expand 33 states, about 20 ms where a
+limit=64)`` builds 32,769 sets to expand 33 states, about 9 ms where a
 per-state search takes 0.3 ms.  The enumerator raises BudgetExceededError
 past 65,536 sets, whatever the limit, and a search holds two parent lists
 of len(sets) entries, plus the chunks not yet expanded, each a bitmap from
@@ -37,15 +41,19 @@ first (largest) set in its table.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
 
 from .errors import BudgetExceededError
 from .graph import Graph
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, _independent_sets
 
 DEFAULT_SEARCH_LIMIT = 12
+
+# _DIGITS[j] maps a byte to b"1" or b"0" by its bit j
+_DIGITS = [bytes(b"01"[x >> j & 1] for x in range(256)) for j in range(8)]
 
 
 @dataclass(frozen=True)
@@ -70,26 +78,26 @@ class _SetTable:
             ends[s.bit_count()] += 1
         for k in range(g.n, -1, -1):
             ends[k] += ends[k + 1]
-        # the table as a character matrix, one row of n binary digits per
-        # set, last set first: column n - 1 - v holds vertex v, and read
-        # down the rows it is vertex v's bitmap, sets[0] in the lowest bit
-        rows = "".join(map(format, reversed(sets), repeat(f"0{g.n}b")))
+        # the sets, last one first, as 8-byte little-endian words (every
+        # set fits one: graph.MAX_VERTICES is 64): byte v >> 3 of every
+        # word, read in turn, is a string of bytes whose bit v & 7 spells
+        # vertex v's bitmap, sets[0] in the lowest bit
+        words = array("Q", reversed(sets))
+        if sys.byteorder == "big":
+            words.byteswap()
+        raw = words.tobytes()
         self.sets = sets
         self.ends = ends
-        self.members = [int(rows[g.n - 1 - v :: g.n], 2) for v in range(g.n)]
+        self.members = [int(raw[v >> 3 :: 8].translate(_DIGITS[v & 7]), 2) for v in range(g.n)]
 
-    def legal(self, n: int, far: int, b: int) -> int:
-        """Bit i is set iff a boat of capacity b, across from the far bank,
-        can leave sets[i] behind: the set avoids far, so lies within the
-        boat's bank, and is at most b smaller.  Ascending i is ascending
-        cargo ``full ^ far ^ sets[i]``."""
-        cut = self.ends[max(n - far.bit_count() - b, 0)]
-        meet = 0
-        while far:
-            low = far & -far
-            far ^= low
-            meet |= self.members[low.bit_length() - 1]
-        return ~meet & ~(-1 << cut)
+    def cuts(self, b: int) -> list[int]:
+        """Bit i of ``cuts(b)[k]`` is set iff a boat of capacity b, across
+        from a far bank of k vertices, may leave sets[i] behind by size: it
+        is at most b smaller than the boat's bank.  Less the sets that meet
+        the far bank, that is every legal move, and ascending i is
+        ascending cargo ``full ^ far ^ sets[i]``."""
+        n = len(self.ends) - 2
+        return [~(-1 << self.ends[max(n - k - b, 0)]) for k in range(n + 1)]
 
 
 def _check_limit(g: Graph, limit: int) -> None:
@@ -120,7 +128,8 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     A state ``i << 1 | side`` has the boat on side and sets[i] on the far
     bank; its bit i in ``unseen[side]`` is cleared when it is discovered.
     Each expansion that discovers anything queues one chunk: the boat's new
-    side, the bitmap ``legal & unseen[side]`` of the states discovered,
+    side, the bitmap of legal moves ``cuts[|far|] & ~meet`` (`_SetTable.cuts`)
+    less the states seen, ``& unseen[side]``: the states discovered,
     shifted down by its lowest index, that index, and the expanded state,
     their parent.  (Unshifted, a chunk of a few states far down a large
     table would hold a bitmap over most of it.)  A chunk at the front of
@@ -142,7 +151,7 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     queue = deque([(0, 1, empty, -1)])
     # unseen[side]: bit i set while state i << 1 | side is undiscovered
     unseen = [~(-1 << empty), ~(-1 << len(sets))]
-    legal, n = table.legal, g.n
+    cuts, members = table.cuts(b), table.members
     expanded = 0
     last = -1  # the state that discovers the goal
     while queue and last < 0:
@@ -155,7 +164,14 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
             i = base + low.bit_length() - 1
             parent_of[i] = parent
             expanded += 1
-            new = legal(n, sets[i], b) & unseen[cross]
+            far = sets[i]
+            cut = cuts[far.bit_count()]
+            meet = 0  # the sets that meet far: none may stay behind
+            while far:
+                bit = far & -far
+                far ^= bit
+                meet |= members[bit.bit_length() - 1]
+            new = cut & ~meet & unseen[cross]
             if new:
                 if new >> empty:  # the goal
                     last = i << 1 | side

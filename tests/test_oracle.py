@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from alcuin import (
     verify_schedule,
 )
 from alcuin import generators as gen
-from alcuin import oracle
+from alcuin import graph, oracle
 from alcuin.ferry import LEFT_TO_RIGHT as LR
 from alcuin.ferry import RIGHT_TO_LEFT as RL
 from brute import brute_cargo_choices, brute_feasible, brute_min_covers, relabel
@@ -91,13 +92,57 @@ class TestSetCap:
         assert not feasible(gen.star(15), 1, limit=64).feasible
 
 
+class TestSetTable:
+    """The table's bitmaps against their definitions, over graphs whose
+    vertices span one to eight bytes of a packed set."""
+
+    @staticmethod
+    def check(g):
+        table = oracle._SetTable(g)
+        sets = table.sets
+        assert len(table.members) == g.n
+        for v, bitmap in enumerate(table.members):
+            assert bitmap >> len(sets) == 0
+            for i, s in enumerate(sets):
+                assert (bitmap >> i & 1) == (s >> v & 1), (v, i)
+        assert table.ends == [sum(s.bit_count() >= k for s in sets) for k in range(g.n + 2)]
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_random_graphs_across_two_bytes(self, n):
+        self.check(gen.random_graph(n, 0.3, n))
+
+    def test_complete64(self):
+        # 65 sets; vertex 63 sits in the top byte of its word
+        g = gen.complete(64)
+        assert len(oracle._SetTable(g).sets) == 65
+        self.check(g)
+
+    def test_edgeless(self):
+        self.check(gen.edgeless(12))
+
+    def test_empty_graph(self):
+        table = oracle._SetTable(Graph(0, ()))
+        assert (table.sets, table.ends, table.members) == ([0], [1, 0], [])
+        self.check(Graph(0, ()))
+
+    def test_sets_fit_one_packed_word(self):
+        assert graph.MAX_VERTICES <= 64, (
+            f"MAX_VERTICES = {graph.MAX_VERTICES}, but oracle._SetTable packs each "
+            "independent set into 64 bits: widen its packing before raising the cap"
+        )
+
+
 class TestCargoChoices:
     """A bank's legal-set bitmap over the independent-set table, read as
     cargos in ascending index, against the submask walk."""
 
     @staticmethod
     def cargos(g, table, bank, b):
-        legal = table.legal(g.n, g.full_mask ^ bank, b)
+        far = g.full_mask ^ bank
+        legal = table.cuts(b)[far.bit_count()]
+        for v in range(g.n):
+            if far >> v & 1:
+                legal &= ~table.members[v]
         return [bank ^ j for i, j in enumerate(table.sets) if legal >> i & 1]
 
     def test_matches_submask_walk(self):
@@ -228,6 +273,21 @@ class TestPinnedSearch:
             (LR, 7), (RL, 0), (LR, 120), (RL, 7), (LR, 135),
             (RL, 7), (LR, 3840), (RL, 0), (LR, 7),
         ]
+
+
+# sha256 of repr(feasible(g, b)), concatenated over every labeled graph with
+# at most 5 vertices in generation order and b = 0..n+1: pins states_expanded
+# and the schedule at every capacity, not only at c(G)
+FEASIBLE_N5_SHA256 = "347e769c3fe39aa82621e7842736527704b7f544c2b6a34677030cde2d67d26d"
+
+
+def test_every_capacity_pinned():
+    digest = hashlib.sha256()
+    for n in range(6):
+        for g in gen.all_labeled_graphs(n):
+            for b in range(n + 2):
+                digest.update(repr(feasible(g, b)).encode())
+    assert digest.hexdigest() == FEASIBLE_N5_SHA256
 
 
 def _package_imports(module: str) -> set[str]:
