@@ -10,6 +10,7 @@ capacity, 5 invalid schedule.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -326,7 +327,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, and building the tree costs far more than a parse."""
     parser = argparse.ArgumentParser(prog="alcuin", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -187,6 +187,13 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
     so alpha is the sum of the component alphas and the sets are every
     combination of the component sets, counted before they are listed.  A
     component's search stops one set past the cap, enough to count past it.
+
+    The new component is the outer loop of each product.  Every component's
+    sets come in descending order, so when each component lies above the
+    ones before it, as in a perfect matching, the sets come out in
+    descending order and their complements ascending: min_covers' sort then
+    meets one run.  Components that interleave in vertex order break the
+    order, so min_covers still sorts.
     """
     total, sets = 0, [0]
     for alpha_c, found in _highest_maximum_sets(g, MAX_COVERS + 1):
@@ -196,7 +203,7 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
             raise BudgetExceededError(
                 f"cover enumeration exceeds the limit {MAX_COVERS} ({count} covers counted)"
             )
-        sets = [a | b for a in sets for b in found]
+        sets = [a | b for b in found for a in sets]
     return total, sets
 
 

@@ -5,17 +5,20 @@ headers are rejected outright.  JSON documents use a fixed key order and
 sorted arrays so identical inputs always produce identical bytes.
 
 `report_json` is the one encoder of the analysis document.  It writes the
-"covers" array without a list of ints per cover: each cover mask is split
-into bytes, and each byte looks up its text (", 8, 10" for vertices 8 and
-10) in a table for its byte position, filled on first use within the call.
-On the perfect matching with 16 edges, the 65,536 covers are written in
-about 64 ms, against about 360 ms through per-cover lists and json.dumps
-(Python 3.11, 2-core machine).
+"covers" array without a list of ints per cover: every cover mask is packed
+into little-endian bytes, all of them in one bytes object, and one map over
+it looks each byte up in the table of its byte position (", 8, 10" for
+vertices 8 and 10 at position 1; the position-0 table also opens the row),
+filled on first use within the call.  On the perfect matching with 16
+edges, the 65,536 covers are written in about 25 ms, against about 49 ms
+with one join per cover and about 360 ms through per-cover lists and
+json.dumps (Python 3.11, 2-core machine).
 """
 
 from __future__ import annotations
 
 import json
+from itertools import cycle
 from typing import Any
 
 from .classify import (
@@ -203,7 +206,9 @@ _REASON_KINDS = {
 
 class _Fragments(dict):
     """Text of each byte value at one byte position of a vertex mask: at
-    offset 8, the byte 0b101 reads ", 8, 10".  Filled on first lookup."""
+    offset 8, the byte 0b101 reads ", 8, 10".  The table at offset 0 opens
+    a row before its vertices, so its byte 0b101 reads "], [0, 2" and its
+    byte 0 reads "], [".  Filled on first lookup."""
 
     def __init__(self, offset: int) -> None:
         super().__init__()
@@ -211,19 +216,29 @@ class _Fragments(dict):
 
     def __missing__(self, byte: int) -> str:
         text = "".join(f", {self.offset + v}" for v in range(8) if byte >> v & 1)
+        if not self.offset:
+            text = "], [" + text[2:]
         self[byte] = text
         return text
 
 
 def _covers_text(n: int, covers: tuple[int, ...]) -> str:
     """The covers as a JSON array of ascending vertex arrays, written the
-    way json.dumps writes the same lists, without building them.  Every
-    graph has a minimum cover, so the array is never empty."""
-    width = (n + 7) // 8
+    way json.dumps writes the same lists, without building them.
+
+    Every cover is packed into width little-endian bytes, all of them in
+    one bytes object, and one map over it looks each byte up in the table
+    of its position.  The first "], " is cut.  A cover with no vertex
+    below 8 has a row that reads "], [, 8", and "[, " stands nowhere else,
+    since a vertex reads ", <digits>", so one replace mends every such row.
+    width is at least 1, so that the one empty cover of the empty graph
+    still opens its row.  Every graph has a minimum cover, so the array is
+    never empty."""
+    width = (n + 7) // 8 or 1
     tables = [_Fragments(8 * k) for k in range(width)]
-    get = dict.__getitem__
-    rows = ["".join(map(get, tables, c.to_bytes(width, "little")))[2:] for c in covers]
-    return "[[" + "], [".join(rows) + "]]"
+    raw = b"".join([c.to_bytes(width, "little") for c in covers])
+    text = "".join(map(dict.__getitem__, cycle(tables), raw))
+    return ("[" + text[3:] + "]]").replace("[, ", "[")
 
 
 def report_json(g: Graph, cls: Classification, covers: CoverReport) -> str:

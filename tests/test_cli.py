@@ -504,3 +504,31 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_calls_in_one_process_share_a_parser_and_no_state(capsys, monkeypatch):
+    # each output must match a run on a parser built for that call alone
+    calls = [
+        ["analyze", "--human", "--gen", "star:3"],
+        ["analyze", "--gen", "star:3"],
+        ["schedule", "Bg", "--capacity", "1", "--shortest", "--trace", "--labels", "w,g,c"],
+        ["schedule", "Bg", "--capacity", "lots"],
+        ["schedule", "Bg", "--capacity", "1"],
+    ]
+
+    def outputs():
+        results = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = outputs()
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 0]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert outputs() == shared

@@ -141,6 +141,18 @@ class TestMinCovers:
             rep = min_covers(g)
             assert (rep.beta, list(rep.covers)) == (beta, covers)
 
+    def test_random_unions_of_components(self):
+        # interleaved components reach the sort out of order
+        out_of_order = 0
+        for seed in range(40):
+            g = random_union(seed, 12 + seed % 9)
+            _, sets = _maximum_independent_sets(g)
+            out_of_order += sets != sorted(sets, reverse=True)
+            beta, covers = brute_min_covers(g)
+            rep = min_covers(g, 20)
+            assert (rep.beta, list(rep.covers)) == (beta, covers)
+        assert out_of_order
+
     def test_report_holds_only_beta_and_covers(self):
         rep = CoverReport(2, (0b0101, 0b1010))
         assert not rep.unique and rep.complete is True
@@ -281,6 +293,19 @@ class TestMaximumIndependentSets:
     def test_random_unions_of_components(self):
         for seed in range(40):
             self.assert_matches_reference(random_union(seed, 12 + seed % 9))
+
+    @staticmethod
+    def assert_descending(sets):
+        assert all(a > b for a, b in zip(sets, sets[1:]))
+
+    def test_components_in_vertex_order_list_descending(self):
+        # so that min_covers' sort of the complements meets one ascending run
+        for m in range(1, 17):
+            self.assert_descending(_maximum_independent_sets(matching(m))[1])
+            g = padded_matching(m)
+            _, sets = _maximum_independent_sets(g)
+            self.assert_descending(sets)
+            assert min_covers(g, 48).covers == tuple(g.full_mask ^ s for s in sets)
 
     def test_matching16_cover_count_and_order(self):
         rep = min_covers(matching(16), 64)

@@ -17,6 +17,7 @@ from alcuin.io import (
 )
 from alcuin.ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT
 from brute import brute_report_json
+from test_cover import ties_below_alpha
 
 
 class TestGraph6:
@@ -218,8 +219,14 @@ class TestReportText:
 
     @pytest.mark.parametrize(
         "g",
-        [_matching(14), gen.hypercube(5), gen.complete_bipartite(11, 23)],
-        ids=["matching14", "Q5", "K11,23"],
+        [
+            _matching(14),
+            _matching(16),
+            ties_below_alpha(),
+            gen.hypercube(5),
+            gen.complete_bipartite(11, 23),
+        ],
+        ids=["matching14", "matching16", "ties_below_alpha", "Q5", "K11,23"],
     )
     def test_large_cover_lists(self, g):
         _assert_same_report(g)
