@@ -16,7 +16,8 @@ maximum independent set is one maximum set per component.  There are two.
   finds none as large; the tests check alpha and both callers against
   brute-force references.
 
-Above their vertex budget the cover routes raise rather than search.
+Above their vertex budget the cover routes raise before any search, and
+min_covers past MAX_COVERS covers, by the one budget rule in `errors`.
 independent_levels() lists the independent subsets of a cover one size at a
 time, building each size only when its caller asks for it, so the pair scan
 and the expansion tests stop without building sizes they never read.
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
-from .errors import BudgetExceededError
+from .errors import check_cap, check_limit
 from .graph import Graph, is_independent, vertices_of
 
 DEFAULT_ENUMERATION_LIMIT = 16
@@ -198,22 +199,9 @@ def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
     total, sets = 0, [0]
     for alpha_c, found in _highest_maximum_sets(g, MAX_COVERS + 1):
         total += alpha_c
-        count = len(sets) * len(found)
-        if count > MAX_COVERS:
-            raise BudgetExceededError(
-                f"cover enumeration exceeds the limit {MAX_COVERS} ({count} covers counted)"
-            )
+        check_cap("cover enumeration", len(sets) * len(found), MAX_COVERS, "covers counted")
         sets = [a | b for b in found for a in sets]
     return total, sets
-
-
-def _check_budget(g: Graph, full_limit: int) -> None:
-    """The vertex budget of both cover searches, checked before either runs.
-    The empty graph needs no search, so no limit applies to it."""
-    if g.n and g.n > full_limit:
-        raise BudgetExceededError(
-            f"cover enumeration for n={g.n} exceeds the limit {full_limit}"
-        )
 
 
 def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
@@ -224,7 +212,7 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
     whether it is unique, so there is no partial answer.  It also raises,
     at any full_limit, once the covers number more than MAX_COVERS.
     """
-    _check_budget(g, full_limit)
+    check_limit("cover enumeration", g.n, full_limit)
     a, sets = _maximum_independent_sets(g)
     full = g.full_mask
     return CoverReport(g.n - a, tuple(sorted(full ^ s for s in sets)))
@@ -247,7 +235,7 @@ def _lowest_covers(g: Graph, full_limit: int) -> tuple[int, tuple[int, ...]]:
     first_c in some component c, so S_c <= second_c there and S_k <=
     first_k everywhere else: S <= top ^ first_c ^ second_c.
     """
-    _check_budget(g, full_limit)
+    check_limit("cover enumeration", g.n, full_limit)
     total = top = 0
     flips = []  # first_c ^ second_c for each component with two maximum sets
     for alpha_c, hits in _highest_maximum_sets(g, 2):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import check_cap, check_limit
 from .graph import Graph, bits, is_independent
 
 LEFT_TO_RIGHT = "LR"
@@ -148,10 +148,7 @@ def _independent_sets(adj: tuple[int, ...], vertices: int) -> list[int]:
         vertices ^= low
         nbrs = adj[low.bit_length() - 1]
         sets += [s | low for s in sets if not s & nbrs]
-        if len(sets) > MAX_SETS:
-            raise BudgetExceededError(
-                f"set enumeration exceeds the limit {MAX_SETS} ({len(sets)} sets listed)"
-            )
+        check_cap("set enumeration", len(sets), MAX_SETS, "sets listed")
     return sets
 
 
@@ -178,8 +175,7 @@ def structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | No
         raise ValueError("capacity must be at least 1")
     if g.n == 0:
         raise ValueError("the empty graph has no five-set witness")
-    if g.n > limit:
-        raise BudgetExceededError(f"structure search for n={g.n} exceeds the limit {limit}")
+    check_limit("structure search", g.n, limit)
     full = g.full_mask
     adj = g.adj
     for x in _independent_sets(adj, full):

@@ -49,6 +49,11 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_vertex_count(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: vertex count plus one neighbor mask per vertex.
@@ -61,8 +66,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
+        _check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -79,6 +83,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate edges collapse."""
+        _check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

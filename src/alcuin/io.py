@@ -231,14 +231,16 @@ def _covers_text(n: int, covers: tuple[int, ...]) -> str:
     of its position.  The first "], " is cut.  A cover with no vertex
     below 8 has a row that reads "], [, 8", and "[, " stands nowhere else,
     since a vertex reads ", <digits>", so one replace mends every such row.
-    width is at least 1, so that the one empty cover of the empty graph
-    still opens its row.  Every graph has a minimum cover, so the array is
-    never empty."""
+    Only such a row looks up byte 0 in the position-0 table, so the scan
+    runs only if that table holds it ("in" fills nothing).  width is at
+    least 1, so that the one empty cover of the empty graph still opens
+    its row.  Every graph has a minimum cover, so the array is never
+    empty."""
     width = (n + 7) // 8 or 1
     tables = [_Fragments(8 * k) for k in range(width)]
     raw = b"".join([c.to_bytes(width, "little") for c in covers])
-    text = "".join(map(dict.__getitem__, cycle(tables), raw))
-    return ("[" + text[3:] + "]]").replace("[, ", "[")
+    text = "[" + "".join(map(dict.__getitem__, cycle(tables), raw))[3:] + "]]"
+    return text.replace("[, ", "[") if 0 in tables[0] else text
 
 
 def report_json(g: Graph, cls: Classification, covers: CoverReport) -> str:

@@ -21,16 +21,17 @@ the benchmark's oracle12 graphs only 71,140 of 1,550,363 legal moves lead
 somewhere new.
 
 The trade-off: the table is built in full before the search, so a search
-that stops early still pays for every independent set of the graph.  At
+that stops early still pays for every independent set of the graph, and
+the vertex limit (errors.check_limit) is checked before it is built.  At
 the default limit of 12 vertices that is at most 4,096 sets.  Above it the
 cost grows with the table, not with the search: ``feasible(star(15), 1,
 limit=64)`` builds 32,769 sets to expand 33 states, about 9 ms where a
-per-state search takes 0.3 ms.  The enumerator raises BudgetExceededError
-past 65,536 sets, whatever the limit, and a search holds two parent lists
-of len(sets) entries, plus the chunks not yet expanded, each a bitmap from
-its lowest state to its highest, so that bounds the search too: the
-search of ``feasible(edgeless(16), 1, limit=16)``, at the cap, peaks at
-about 5 MiB on top of its table.
+per-state search takes 0.3 ms.  The enumerator's cap raises
+BudgetExceededError past 65,536 sets, whatever the limit, and a search
+holds two parent lists of len(sets) entries, plus the chunks not yet
+expanded, each a bitmap from its lowest state to its highest, so that
+bounds the search too: the search of ``feasible(edgeless(16), 1,
+limit=16)``, at the cap, peaks at about 5 MiB on top of its table.
 
 The oracle is the independent side of every cross-check, so it shares no
 code with the cover, classifier or construction modules: its whole import
@@ -46,7 +47,7 @@ from array import array
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import BudgetExceededError
+from .errors import check_limit
 from .graph import Graph
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, _independent_sets
 
@@ -100,11 +101,6 @@ class _SetTable:
         return [~(-1 << self.ends[max(n - k - b, 0)]) for k in range(n + 1)]
 
 
-def _check_limit(g: Graph, limit: int) -> None:
-    if g.n > limit:
-        raise BudgetExceededError(f"oracle search for n={g.n} exceeds the limit {limit}")
-
-
 def feasible(g: Graph, b: int, limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResult:
     """Decide feasibility at boat capacity b; shortest schedule when feasible.
 
@@ -118,7 +114,7 @@ def feasible(g: Graph, b: int, limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResul
         raise ValueError("negative boat capacity")
     if g.n == 0:
         return SearchResult(True, 0, Schedule(b, ()), 0)
-    _check_limit(g, limit)
+    check_limit("oracle search", g.n, limit)
     return _search(g, b, _SetTable(g))
 
 
@@ -203,8 +199,7 @@ def alcuin_exact(
     bitmaps, and beta is read off it: its first set is a largest one, so
     beta = n - alpha.  A passed beta that differs from it raises ValueError.
     """
-    if g.n:  # the empty graph needs no search, so no limit applies to it
-        _check_limit(g, limit)
+    check_limit("oracle search", g.n, limit)
     table = _SetTable(g)
     own_beta = g.n - table.sets[0].bit_count()
     if beta is not None and beta != own_beta:

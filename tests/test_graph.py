@@ -81,6 +81,11 @@ class TestGraphConstruction:
         with pytest.raises(ValueError):
             Graph(65, (0,) * 65)
 
+    def test_from_edges_checks_n_before_allocating(self):
+        # [0] * 2**62 raises MemoryError; the count is refused before it
+        with pytest.raises(ValueError, match=r"^vertex count 4611686018427387904 outside 0\.\.64$"):
+            Graph.from_edges(2**62, [])
+
     def test_adjacency_length_checked(self):
         with pytest.raises(ValueError, match="adjacency length"):
             Graph(2, (0,))

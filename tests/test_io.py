@@ -237,6 +237,13 @@ class TestReportText:
         assert len(min_covers(g, _LIMIT).covers) == 8
         _assert_same_report(g)
 
+    def test_row_with_empty_low_byte(self):
+        # the one row of this graph opens with no vertex below 8, so the
+        # text must be mended even though no other row needs it
+        g = Graph.from_edges(10, [(9, v) for v in range(9)])
+        assert min_covers(g, _LIMIT).covers == (1 << 9,)
+        _assert_same_report(g)
+
 
 class TestReport:
     def _report(self, g):

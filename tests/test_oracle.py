@@ -354,6 +354,38 @@ def test_only_classify_decides_c():
             assert not reached, (module, reached)
 
 
+def _budget_raisers(module: str) -> set[str]:
+    """The functions of one module of the package that build or raise a
+    BudgetExceededError themselves; "<module>" for its top level."""
+    tree = ast.parse((Path(oracle.__file__).parent / f"{module}.py").read_text())
+    found = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            target = child.func if isinstance(child, ast.Call) else None
+            if isinstance(child, ast.Raise):
+                target = child.exc
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name == "BudgetExceededError":
+                found.add(where)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_one_budget_rule():
+    # every search refuses over-budget input through errors.check_limit or
+    # errors.check_cap; only the survey stream re-raises, to add a line number
+    modules = sorted(p.stem for p in Path(oracle.__file__).parent.glob("*.py"))
+    assert {"cover", "ferry", "oracle", "cli", "errors"} <= set(modules)
+    raisers = {m: found for m in modules if (found := _budget_raisers(m))}
+    assert raisers == {"errors": {"check_limit", "check_cap"}, "cli": {"_stream_records"}}
+
+
 class TestAlcuinExact:
     def test_path(self):
         c, sched = alcuin_exact(P3)
