@@ -20,7 +20,7 @@ from typing import Any, Callable, Iterable, Iterator
 from . import generators, io, oracle
 from .classify import CLASS_TWO, _close_pair, classify, classify_covers
 from .cover import DEFAULT_ENUMERATION_LIMIT, _sparse_subset, min_covers
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, check_limit
 from .ferry import Schedule, verify_schedule
 from .graph import Graph, cartesian_product, girth, is_claw_free
 from .schedule import render_trace, synthesize
@@ -301,8 +301,7 @@ def _cmd_survey(args: argparse.Namespace) -> int:
         except io.FormatError as exc:
             raise _CliError(EXIT_INPUT, str(exc)) from None
     else:
-        if args.max_n > 6:
-            raise _CliError(EXIT_BUDGET, "--max-n is capped at 6")
+        check_limit("survey --max-n", args.max_n, 6)
         summary = survey_enumerate(args.max_n, args.jobs)
     print(json.dumps(summary, indent=2))
     offenders = summary["totals"]["offenders"]

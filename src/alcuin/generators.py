@@ -5,50 +5,43 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator, Sequence
 
-from .graph import MAX_VERTICES, Graph, cartesian_product
+from .graph import Graph, cartesian_product, check_vertex_count
 
 _M64 = (1 << 64) - 1
 
 
-def _check_cap(n: int) -> None:
-    if n > MAX_VERTICES:
-        raise ValueError(f"{n} vertices exceeds the {MAX_VERTICES}-vertex cap")
-    if n < 0:
-        raise ValueError("negative vertex count")
-
-
 def edgeless(n: int) -> Graph:
-    _check_cap(n)
+    check_vertex_count(n)
     return Graph(n, (0,) * n)
 
 
 def star(k: int) -> Graph:
     """K_{1,k}: center is vertex 0, leaves 1..k."""
-    _check_cap(k + 1)
+    check_vertex_count(k + 1)
     if k < 0:
         raise ValueError("negative leaf count")
     return Graph.from_edges(k + 1, [(0, i) for i in range(1, k + 1)])
 
 
 def path(n: int) -> Graph:
-    _check_cap(n)
+    check_vertex_count(n)
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
-    _check_cap(n)
+    check_vertex_count(n)
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
-    _check_cap(n)
+    check_vertex_count(n)
     return Graph.from_edges(n, combinations(range(n), 2))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    _check_cap(a + b)
+    check_vertex_count(a + b)
     if a < 0 or b < 0:
         raise ValueError("negative part size")
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
@@ -68,7 +61,7 @@ def circulant(n: int, steps: Sequence[int]) -> Graph:
     """Circulant graph: vertex i adjacent to i +- s (mod n) for each step s."""
     if n < 1:
         raise ValueError("circulant needs at least one vertex")
-    _check_cap(n)
+    check_vertex_count(n)
     edges = []
     for s in steps:
         if s % n == 0:
@@ -82,8 +75,6 @@ def hypercube(d: int) -> Graph:
     """d-dimensional hypercube, built by repeated cartesian product with K2."""
     if d < 0:
         raise ValueError("negative dimension")
-    if d > 6:
-        raise ValueError("hypercube dimension capped at 6 (64 vertices)")
     q = complete(1)
     k2 = complete(2)
     for _ in range(d):
@@ -101,7 +92,7 @@ def overlapping_stars(k: int) -> Graph:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = 2 * k + 3
-    _check_cap(n)
+    check_vertex_count(n)
     edges = [(0, 1 + i) for i in range(1, k + 2)]
     edges += [(1, 1 + i) for i in range(k + 1, 2 * k + 2)]
     return Graph.from_edges(n, edges)
@@ -110,7 +101,7 @@ def overlapping_stars(k: int) -> Graph:
 def tree_from_pruefer(seq: Sequence[int]) -> Graph:
     """Decode a Pruefer sequence into its labeled tree on len(seq)+2 vertices."""
     n = len(seq) + 2
-    _check_cap(n)
+    check_vertex_count(n)
     for s in seq:
         if not 0 <= s < n:
             raise ValueError(f"sequence entry {s} outside 0..{n - 1}")
@@ -173,7 +164,7 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     below p.  The mixing constants above are part of the contract, so equal
     (n, p, seed) arguments reproduce the same graph on any implementation.
     """
-    _check_cap(n)
+    check_vertex_count(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     threshold = int(p * (1 << 53))

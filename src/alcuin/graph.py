@@ -3,7 +3,8 @@
 Every vertex set in this package is a plain int used as a bitmask: bit v is
 set iff vertex v belongs to the set.  Use :func:`mask_of` / :func:`vertices_of`
 to convert to and from ordinary collections.  Graphs are capped at 64 vertices
-so any vertex set fits in one machine word.
+so any vertex set fits in one machine word; every constructor refuses a larger
+or negative count, before it builds, through the one :func:`check_vertex_count`.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _check_vertex_count(n: int) -> None:
+def check_vertex_count(n: int) -> None:
+    """ValueError unless 0 <= n <= MAX_VERTICES: the one size rule of every graph."""
     if not 0 <= n <= MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
@@ -66,7 +68,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_vertex_count(self.n)
+        check_vertex_count(self.n)
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -83,7 +85,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate edges collapse."""
-        _check_vertex_count(n)
+        check_vertex_count(n)
         adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -245,8 +247,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     (u, v) ~ (x, y) iff u == x and v ~ y, or v == y and u ~ x.
     """
     n = g.n * h.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"product on {n} vertices exceeds the {MAX_VERTICES}-vertex cap")
+    check_vertex_count(n)
     adj = [0] * n
     for u in range(g.n):
         base = u * h.n

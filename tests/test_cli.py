@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import io as stdio
 import json
@@ -25,6 +26,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_exit_budget_read_only_in_main():
+    # every budget error reaches exit code 3 through main's one except clause
+    tree = ast.parse(Path(cli.__file__).read_text())
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    reads = {
+        id(n)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and n.id == "EXIT_BUDGET" and isinstance(n.ctx, ast.Load)
+    }
+    assert reads and reads <= {id(n) for n in ast.walk(main_def)}
 
 
 class TestAnalyze:
@@ -289,8 +302,8 @@ class TestSurvey:
         assert run(capsys, "survey", "--stdin-graph6") == (code, "", message + "\n")
 
     def test_max_n_capped(self, capsys):
-        code, _, _ = run(capsys, "survey", "--max-n", "7")
-        assert code == 3
+        code, _, err = run(capsys, "survey", "--max-n", "7")
+        assert (code, err) == (3, "error: survey --max-n for n=7 exceeds the limit 6\n")
 
     def test_workers_capped_by_tasks_and_processors(self, monkeypatch):
         sizes = []
@@ -432,6 +445,11 @@ class TestGenerate:
         # graph6 short form stops at 62 vertices; Q6 has 64
         code, _, err = run(capsys, "generate", "hypercube:6")
         assert code == 2 and "62 vertices" in err
+
+    def test_oversize_family_exits_2(self, capsys):
+        code, _, err = run(capsys, "generate", "hypercube:7")
+        message = "error: bad generator spec 'hypercube:7': vertex count 128 outside 0..64\n"
+        assert (code, err) == (2, message)
 
     def test_unknown_family_exits_2(self, capsys):
         code, _, _ = run(capsys, "generate", "moebius:5")

@@ -1,6 +1,6 @@
 import pytest
 
-from alcuin import girth, is_bipartite, is_regular, mask_of
+from alcuin import cartesian_product, girth, is_bipartite, is_regular, mask_of
 from alcuin import generators as gen
 from brute import is_connected
 
@@ -41,11 +41,34 @@ class TestBasicFamilies:
         with pytest.raises(ValueError):
             gen.circulant(4, (4,))
 
-    def test_size_caps(self):
-        with pytest.raises(ValueError):
-            gen.path(65)
-        with pytest.raises(ValueError):
-            gen.star(64)
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: gen.edgeless(65), id="edgeless-65"),
+        pytest.param(lambda: gen.edgeless(-1), id="edgeless-neg"),
+        pytest.param(lambda: gen.star(64), id="star-64"),
+        pytest.param(lambda: gen.path(65), id="path-65"),
+        pytest.param(lambda: gen.path(-1), id="path-neg"),
+        pytest.param(lambda: gen.cycle(65), id="cycle-65"),
+        pytest.param(lambda: gen.complete(65), id="complete-65"),
+        pytest.param(lambda: gen.complete(-1), id="complete-neg"),
+        pytest.param(lambda: gen.complete_bipartite(30, 35), id="complete_bipartite-30-35"),
+        pytest.param(lambda: gen.circulant(65, [1]), id="circulant-65"),
+        pytest.param(lambda: gen.overlapping_stars(31), id="overlapping_stars-31"),
+        pytest.param(lambda: gen.tree_from_pruefer([0] * 63), id="tree_from_pruefer-63"),
+        pytest.param(lambda: gen.random_graph(65, 0.5, 1), id="random_graph-65"),
+        pytest.param(lambda: gen.hypercube(7), id="hypercube-7"),
+        pytest.param(
+            lambda: cartesian_product(gen.complete(5), gen.complete(13)), id="product-5x13"
+        ),
+    ],
+)
+def test_one_vertex_cap(build):
+    # every constructor refuses an oversize or negative count through
+    # graph.check_vertex_count, with its one message
+    with pytest.raises(ValueError, match=r"^vertex count -?\d+ outside 0\.\.64$"):
+        build()
 
 
 class TestHypercube:
@@ -63,10 +86,6 @@ class TestHypercube:
         assert g.n == 2**d
         assert is_regular(g) == d
         assert is_bipartite(g) is not None
-
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            gen.hypercube(7)
 
 
 class TestOverlappingStars:

@@ -386,6 +386,19 @@ def test_one_budget_rule():
     assert raisers == {"errors": {"check_limit", "check_cap"}, "cli": {"_stream_records"}}
 
 
+def test_only_graph_and_io_read_max_vertices():
+    # graph.check_vertex_count is the one check of a graph's size; io reads
+    # the cap only to check outside input: the edge-list header, cargo ids
+    def reads_cap(module: str) -> bool:
+        tree = ast.parse((Path(oracle.__file__).parent / f"{module}.py").read_text())
+        loads = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and type(n.ctx) is ast.Load}
+        return "MAX_VERTICES" in loads | _private_names_reached(module)
+
+    modules = sorted(p.stem for p in Path(oracle.__file__).parent.glob("*.py"))
+    assert {"graph", "io", "generators", "oracle"} <= set(modules)
+    assert {m for m in modules if reads_cap(m)} == {"graph", "io"}
+
+
 class TestAlcuinExact:
     def test_path(self):
         c, sched = alcuin_exact(P3)
