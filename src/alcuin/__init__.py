@@ -14,14 +14,12 @@ from .classify import (
     Classification,
     ConditionHolds,
     Degenerate,
-    FastPath,
     MultipleCovers,
     PairWitness,
     classification_condition,
     classify,
     classify_covers,
     exists_2x_witness,
-    fast_paths,
 )
 from .cover import (
     CoverReport,
@@ -64,7 +62,6 @@ __all__ = [
     "ConditionHolds",
     "CoverReport",
     "Degenerate",
-    "FastPath",
     "Graph",
     "Move",
     "MultipleCovers",
@@ -81,7 +78,6 @@ __all__ = [
     "classify",
     "classify_covers",
     "exists_2x_witness",
-    "fast_paths",
     "feasible",
     "girth",
     "hall_strict",

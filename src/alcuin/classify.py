@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .cover import CoverReport, check_minimum_cover, independent_levels
 from .cover import DEFAULT_ENUMERATION_LIMIT, _lowest_covers, _sparse_subset
-from .graph import Graph, bits, is_claw_free
+from .graph import Graph, bits
 
 CLASS_ONE = "one"
 CLASS_TWO = "two"
@@ -166,29 +166,6 @@ def exists_2x_witness(g: Graph, cover: int) -> int | None:
     """
     check_minimum_cover(g, cover)
     return _sparse_subset(g, cover, 2)
-
-
-@dataclass(frozen=True)
-class FastPath:
-    """Advisory class-one shortcut: which cheap sufficient test fired."""
-
-    kind: str  # "claw_free" or "pair_common_neighbors"
-    u: int | None = None
-    v: int | None = None
-
-
-def fast_paths(g: Graph, cover: int) -> FastPath | None:
-    """Cheap sufficient conditions for class one; advisory only.
-
-    Fires when the graph has an edge and is claw-free, or when some cover
-    vertices u, v (u = v allowed) share at most two neighbors outside the
-    cover.  Edgeless graphs get None: they are claw-free but class two.
-    """
-    check_minimum_cover(g, cover)
-    if cover and is_claw_free(g):
-        return FastPath("claw_free")
-    pair = _close_pair(g, cover)
-    return None if pair is None else FastPath("pair_common_neighbors", *pair)
 
 
 def _close_pair(g: Graph, cover: int) -> tuple[int, int] | None:

@@ -156,7 +156,7 @@ def schedule_json(sched: Schedule) -> str:
 def parse_schedule_json(text: str) -> Schedule:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long to convert
         raise FormatError(f"bad schedule JSON: {exc}") from None
     except RecursionError:
         raise FormatError("bad schedule JSON: nested too deeply") from None

@@ -16,22 +16,30 @@ as 64-bit words, and each vertex's bitmap is a strided byte slice of
 them, translated to binary digits and read by int().  One bitmap of
 unseen states per boat side drops, by one AND, the moves to states
 already seen before any is listed, the visited-bitmap test of
-direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012): on
-the benchmark's oracle12 graphs only 71,140 of 1,550,363 legal moves lead
-somewhere new.
+direction-optimizing BFS (Beamer, Asanovic and Patterson, SC 2012).
+
+The search stops halfway.  Swapping the banks maps the state graph onto
+itself and the start onto the goal, so the first discovered state whose
+mirror image (the same K, the boat on the other side) is already
+discovered lies halfway along a shortest schedule (the proof is in
+`_search`): a bidirectional search (Pohl, "Bi-directional search", 1971)
+whose backward half is the forward half mirrored, for one more AND per
+expansion.
 
 The trade-off: the table is built in full before the search, so a search
 that stops early still pays for every independent set of the graph, and
 the vertex limit (errors.check_limit) is checked before it is built.  At
-the default limit of 12 vertices that is at most 4,096 sets.  Above it the
-cost grows with the table, not with the search: ``feasible(star(15), 1,
-limit=64)`` builds 32,769 sets to expand 33 states, about 9 ms where a
-per-state search takes 0.3 ms.  The enumerator's cap raises
-BudgetExceededError past 65,536 sets, whatever the limit, and a search
-holds two parent lists of len(sets) entries, plus the chunks not yet
-expanded, each a bitmap from its lowest state to its highest, so that
-bounds the search too: the search of ``feasible(edgeless(16), 1,
-limit=16)``, at the cap, peaks at about 5 MiB on top of its table.
+the default limit of 12 vertices that is at most 4,096 sets, and over the
+benchmark's 249 oracle12 graphs the tables take 11.6 of alcuin_exact's
+25.3 ms (best of 7), close to half.  Above it the cost grows with the
+table, not with the search: ``feasible(star(15), 1, limit=64)`` builds
+32,769 sets to expand 33 states, about 8 ms where a per-state search
+takes 0.3 ms.  The enumerator's cap raises BudgetExceededError past 65,536
+sets, whatever the limit, and a search holds two parent lists of
+len(sets) entries, plus the chunks not yet expanded, each a bitmap from
+its lowest state to its highest, so that bounds the search too: the
+search of ``feasible(edgeless(16), 1, limit=16)``, at the cap, peaks at
+about 5 MiB on top of its table.
 
 The oracle is the independent side of every cross-check, so it shares no
 code with the cover, classifier or construction modules: its whole import
@@ -105,10 +113,11 @@ def feasible(g: Graph, b: int, limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResul
     """Decide feasibility at boat capacity b; shortest schedule when feasible.
 
     Breadth-first over bank states, each state's cargos ascending by size,
-    then mask, listing only the moves to states not yet seen.  Every
-    independent set of g is listed first, even for a short search, and past
-    65,536 of them it raises BudgetExceededError at any limit.  The empty
-    graph needs no search, so no limit applies to it.
+    then mask, listing only the moves to states not yet seen, until a state
+    meets its mirror image.  Every independent set of g is listed first,
+    even for a short search, and past 65,536 of them it raises
+    BudgetExceededError at any limit.  The empty graph needs no search, so
+    no limit applies to it.
     """
     if b < 0:
         raise ValueError("negative boat capacity")
@@ -119,7 +128,7 @@ def feasible(g: Graph, b: int, limit: int = DEFAULT_SEARCH_LIMIT) -> SearchResul
 
 
 def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
-    """Breadth-first search from everything on the left to the goal.
+    """Breadth-first search from the start until a state meets its mirror.
 
     A state ``i << 1 | side`` has the boat on side and sets[i] on the far
     bank; its bit i in ``unseen[side]`` is cleared when it is discovered.
@@ -131,14 +140,44 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     table would hold a bitmap over most of it.)  A chunk at the front of
     the queue is expanded lowest bit first, ascending index (cargo) order,
     so the states leave the queue in the order a queue of single states,
-    extended by each expansion's discoveries in cargo order, would yield:
-    expansions, parents and states_expanded do not change.  Only a state's
-    own chunk names its parent, so ``parents[side][i]`` is written when the
-    state is expanded, and every state on the path back from the goal has
-    been.  The goal, the empty far bank with the boat on the right, is the
-    top bit of ``unseen[1]`` (``unseen[0]`` lacks it: that state is the
-    start), so it is caught when discovered, and the path is read back
-    from the state that discovered it to the start, whose parent is -1.
+    extended by each expansion's discoveries in cargo order, would yield.
+    Only a state's own chunk names its parent, so ``parents[side][i]`` is
+    written when the state is expanded.
+
+    The search stops at the first discovered state (j, cross) whose mirror,
+    its partner (j, side), is already discovered: ``new & ~unseen[side]``.
+    That the first such meeting gives a shortest schedule:
+
+    - Every move can be undone.  From far bank K a move leaves J behind and
+      carries ``full ^ K ^ J``; from far bank J the move that leaves K
+      behind carries the same cargo back, and K is independent.  The moves
+      of a state depend on K alone, not on the boat's side.
+    - So swapping the banks, which maps (K, s) to (K, 1 - s), maps moves to
+      moves, and the start (empty, left) to the goal (empty, right): a
+      state's distance to the goal is its mirror's depth from the start.
+    - Every move flips the boat, so a state's depth has its side's parity,
+      and a state and its mirror never share a depth.
+    - A meeting at depth D, with its partner at depth D' (discovered, so
+      D' <= D, and D' != D by parity), is a schedule of D + D' moves: the
+      path to the new state, then the partner's path mirrored and reversed.
+      Each of its moves keeps its direction and cargo (a move from side s
+      stays a move from side s).  So D + D' >= L, the shortest length.
+    - On a shortest schedule of length L (odd), the state after (L + 1) / 2
+      moves has depth (L + 1) / 2 and its mirror depth (L - 1) / 2, so the
+      search meets by the time it discovers the states of depth (L + 1) / 2.
+      The first meeting thus has D <= (L + 1) / 2 and D' <= D - 1, so
+      D + D' <= L: it is exactly L, with D = (L + 1) / 2 and D' = D - 1.
+
+    Discovering the goal is meeting the start, the one state missing from
+    ``unseen[0]``, whose mirror the goal is.  The partner lies at depth
+    D - 1, the depth being expanded.  It is the start, met by the start's
+    own expansion, or it waits in the rest of the chunk being walked or in
+    a queued chunk of the same side, which alone names its parent.  No
+    other partner was expanded before: the mirror of the state being
+    expanded is a neighbour of the partner, so it was discovered by then,
+    and its mirror, the state being expanded, too; that pair would have met
+    first.  An infeasible search meets nothing and explores the start's
+    whole component.
     """
     sets = table.sets
     empty = len(sets) - 1  # sets[-1] is the empty set
@@ -149,8 +188,7 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
     unseen = [~(-1 << empty), ~(-1 << len(sets))]
     cuts, members = table.cuts(b), table.members
     expanded = 0
-    last = -1  # the state that discovers the goal
-    while queue and last < 0:
+    while queue:
         side, chunk, base, parent = queue.popleft()
         parent_of = parents[side]
         cross = side ^ 1  # the boat crosses: its side in every next state
@@ -168,23 +206,37 @@ def _search(g: Graph, b: int, table: _SetTable) -> SearchResult:
                 far ^= bit
                 meet |= members[bit.bit_length() - 1]
             new = cut & ~meet & unseen[cross]
-            if new:
-                if new >> empty:  # the goal
-                    last = i << 1 | side
-                    break
-                unseen[cross] ^= new
-                first = (new & -new).bit_length() - 1
-                queue.append((cross, new >> first, first, i << 1 | side))
-    if last < 0:
-        return SearchResult(False, None, None, expanded)
+            if not new:
+                continue
+            hit = new & ~unseen[side]
+            if hit:
+                j = (hit & -hit).bit_length() - 1
+                partner = parent_of[j]  # the start, expanded already
+                for s, c, lo, up in ((side, chunk, base, parent), *queue):
+                    if s == side and j >= lo and c >> (j - lo) & 1:
+                        partner = up  # the rest of this chunk, or a queued one
+                        break
+                moves = _moves_back(sets, parents, g.full_mask, j << 1 | cross, i << 1 | side)
+                moves.reverse()
+                moves += _moves_back(sets, parents, g.full_mask, j << 1 | side, partner)
+                return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)
+            unseen[cross] ^= new
+            first = (new & -new).bit_length() - 1
+            queue.append((cross, new >> first, first, i << 1 | side))
+    return SearchResult(False, None, None, expanded)
+
+
+def _moves_back(
+    sets: list[int], parents: tuple[list[int], list[int]], full: int, state: int, prev: int
+) -> list[Move]:
+    """The moves of the path from the start to state, whose parent is prev,
+    last move first; every state before state has its parent recorded."""
     moves: list[Move] = []
-    state, prev = empty << 1 | 1, last
     while prev >= 0:
         direction = RIGHT_TO_LEFT if prev & 1 else LEFT_TO_RIGHT
-        moves.append(Move(direction, g.full_mask ^ sets[prev >> 1] ^ sets[state >> 1]))
+        moves.append(Move(direction, full ^ sets[prev >> 1] ^ sets[state >> 1]))
         state, prev = prev, parents[prev & 1][prev >> 1]
-    moves.reverse()
-    return SearchResult(True, len(moves), Schedule(b, tuple(moves)), expanded)
+    return moves
 
 
 def alcuin_exact(

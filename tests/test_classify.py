@@ -18,12 +18,12 @@ from alcuin import (
     classify,
     classify_covers,
     exists_2x_witness,
-    fast_paths,
     hall_strict,
     mask_of,
     min_covers,
 )
 from alcuin import generators as gen
+from alcuin.classify import _close_pair
 from brute import brute_classification_condition, brute_exists_2x_witness, brute_hall_strict
 from capped import run_capped
 from test_cover import ties_below_alpha
@@ -246,30 +246,18 @@ class TestExists2xWitness:
                     assert isinstance(outcome, PairWitness)
 
 
-class TestFastPaths:
-    def test_triangle_claw_free(self):
-        fp = fast_paths(gen.complete(3), mask_of([0, 1]))
-        assert fp is not None and fp.kind == "claw_free"
+class TestClosePair:
+    """The survey's pair condition: a cover pair u <= v with at most two
+    common neighbours outside the cover forces class one."""
 
-    def test_pair_branch(self):
+    def test_first_pair(self):
         # claw with a pendant on leaf 1: not claw-free, but the center has
         # only two neighbors outside the cover {0, 1}
         g = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 4)])
-        fp = fast_paths(g, mask_of([0, 1]))
-        assert fp == fast_paths(g, mask_of([0, 1]))
-        assert fp.kind == "pair_common_neighbors" and (fp.u, fp.v) == (0, 0)
+        assert _close_pair(g, mask_of([0, 1])) == (0, 0)
 
-    def test_claw_has_no_fast_path(self):
-        assert fast_paths(gen.star(3), 1) is None
-
-    def test_advisory_never_contradicts(self):
-        from alcuin import min_covers
-
-        for g in gen.all_labeled_graphs(4):
-            rep = min_covers(g)
-            cls = classify(g)
-            if fast_paths(g, rep.covers[0]) is not None:
-                assert cls.verdict == CLASS_ONE
+    def test_claw_has_no_close_pair(self):
+        assert _close_pair(gen.star(3), 1) is None
 
 
 def _drop_alcuin_modules():

@@ -244,6 +244,22 @@ class TestVerify:
         assert code == 2
 
     @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"capacity": %s, "moves": []}' % ("9" * 5000),
+            '{"capacity": 3, "moves": [{"dir": "LR", "cargo": [%s]}]}' % ("9" * 5000),
+        ],
+        ids=["capacity", "cargo_vertex"],
+    )
+    def test_integer_past_the_digit_limit_exits_2(self, capsys, tmp_path, doc):
+        # json.loads refuses to convert it with a plain ValueError
+        p = tmp_path / "sched.json"
+        p.write_text(doc)
+        code, out, err = run(capsys, "verify", str(p), "--gen", "star:3")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read schedule") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "data", [b"\xff", b"[" * 200000], ids=["not_utf8", "nested_200000_deep"]
     )
     def test_hostile_file_exits_2(self, capsys, tmp_path, data):

@@ -170,15 +170,29 @@ class TestCargoChoices:
         self.check_banks(gen.star(11), (4095, 0b111111, 0b111111000000, 0b111111111110))
 
 
+def check_against_reference(g, b, limit=oracle.DEFAULT_SEARCH_LIMIT):
+    """feasible against the full BFS of brute.brute_feasible: the same
+    verdict and length, a schedule that verifies, and no more states."""
+    res, ref = feasible(g, b, limit=limit), brute_feasible(g, b)
+    assert (res.feasible, res.min_crossings) == (ref.feasible, ref.min_crossings)
+    assert res.states_expanded <= ref.states_expanded
+    if res.feasible:
+        assert len(res.schedule.moves) == res.min_crossings
+        assert res.schedule.capacity == b
+        assert verify_schedule(g, res.schedule) is None
+    return res
+
+
 class TestReferenceSearch:
-    """feasible against the per-state search it replaced, which rebuilt
-    every state's cargos from scratch (brute.brute_feasible)."""
+    """feasible, which stops when a state meets its mirror image, against
+    the full per-state search that rebuilds every state's cargos from
+    scratch and stops at the goal (brute.brute_feasible)."""
 
     def test_every_small_graph_at_every_capacity(self):
         for n in range(6):
             for g in gen.all_labeled_graphs(n):
                 for b in range(n + 2):
-                    assert feasible(g, b) == brute_feasible(g, b)
+                    check_against_reference(g, b)
 
     def test_class_two_families(self):
         for n in range(4, 13):
@@ -186,7 +200,7 @@ class TestReferenceSearch:
                 g = gen.complete_bipartite(a, n - a)
                 beta, _ = brute_min_covers(g)
                 for b in (beta, beta + 1):
-                    assert feasible(g, b) == brute_feasible(g, b)
+                    check_against_reference(g, b)
 
     def test_bitmaps_past_one_word(self):
         # tables of 1,031 to 8,193 sets, so every bitmap spans many words
@@ -195,7 +209,7 @@ class TestReferenceSearch:
                 g = gen.complete_bipartite(a, n - a)
                 beta, _ = brute_min_covers(g)
                 for b in (beta, beta + 1):
-                    assert feasible(g, b, limit=n) == brute_feasible(g, b)
+                    check_against_reference(g, b, limit=n)
 
     def test_random_graphs(self):
         # both capacities alcuin_exact searches
@@ -203,15 +217,46 @@ class TestReferenceSearch:
             g = gen.random_graph(10 + i % 3, (0.2, 0.35, 0.5)[i // 8], 100 + i)
             beta, _ = brute_min_covers(g)
             for b in (beta, beta + 1):
-                assert feasible(g, b) == brute_feasible(g, b)
+                check_against_reference(g, b)
+
+    @pytest.mark.parametrize("k, expanded", [(14, 12954), (15, 26335)])
+    def test_large_stars(self, k, expanded):
+        # the reference expands 32,755 and 65,522 states
+        res = check_against_reference(gen.star(k), 2, limit=64)
+        assert (res.min_crossings, res.states_expanded) == (2 * k - 1, expanded)
+
+    # The partner, the mirror of the state whose discovery stops the search,
+    # lies at the depth being expanded.  It is the start, or it waits in
+    # the chunk being walked or in a queued one, which alone names its
+    # parent: any other state of that depth expanded before the current one
+    # would have met its mirror first.  A parent read from the wrong place
+    # breaks the schedule's second half.
 
     def test_goal_in_the_first_chunk(self):
-        # the start's one expansion discovers the goal: a one-move schedule
-        g = gen.edgeless(5)
-        res = feasible(g, 5)
-        assert res == brute_feasible(g, 5)
+        # the start's one expansion discovers the goal, the start's mirror:
+        # a one-move schedule
+        res = check_against_reference(gen.edgeless(5), 5)
         assert (res.min_crossings, res.states_expanded) == (1, 1)
         assert [(m.direction, m.cargo) for m in res.schedule.moves] == [(LR, 31)]
+
+    def test_partner_in_the_rest_of_the_chunk(self):
+        # the goat (vertex 1) goes first; the search meets at depth 4, and
+        # the partner (far bank {0}, boat on the right) comes later in the
+        # chunk of the state just expanded (far bank {2}, boat on the right)
+        res = check_against_reference(gen.path(3), 1)
+        assert res.states_expanded == 4
+        assert [(m.direction, m.cargo) for m in res.schedule.moves] == [
+            (LR, 2), (RL, 0), (LR, 1), (RL, 2), (LR, 4), (RL, 0), (LR, 2),
+        ]
+
+    def test_partner_in_a_queued_chunk(self):
+        # the meeting at depth 3 finds its partner (far bank {2}, boat on
+        # the left) in a chunk still waiting in the queue
+        res = check_against_reference(gen.edgeless(3), 1)
+        assert res.states_expanded == 6
+        assert [(m.direction, m.cargo) for m in res.schedule.moves] == [
+            (LR, 1), (RL, 0), (LR, 2), (RL, 0), (LR, 4),
+        ]
 
 
 class TestSharedTable:
@@ -220,11 +265,11 @@ class TestSharedTable:
     @pytest.mark.parametrize(
         "g, b, expected",
         [
-            # counts of the per-state search: beta + 1 on class two, beta on
-            # a class-one G(12, .3)
-            (gen.star(11), 2, (True, 21, 4086)),
-            (gen.complete_bipartite(2, 10), 3, (True, 15, 1989)),
-            (gen.random_graph(12, 0.3, 1), 5, (True, 7, 550)),
+            # beta + 1 on class two, beta on a class-one G(12, .3); the
+            # full BFS expands 4,086, 1,989 and 550 states
+            (gen.star(11), 2, (True, 21, 1588)),
+            (gen.complete_bipartite(2, 10), 3, (True, 15, 776)),
+            (gen.random_graph(12, 0.3, 1), 5, (True, 7, 31)),
         ],
     )
     def test_counts(self, g, b, expected):
@@ -244,19 +289,20 @@ class TestSharedTable:
 
 
 class TestPinnedSearch:
-    """Counts and schedules of the submask-walking search this one replaced;
-    any change in move order or state handling shows up here."""
+    """Counts and schedules of the search; any change in move order, state
+    handling or where the search stops shows up here.  The schedules are
+    those of the submask-walking search it replaced."""
 
     @pytest.mark.parametrize(
         "g, b, expected",
         [
-            (gen.path(3), 1, (True, 7, 9)),
+            (gen.path(3), 1, (True, 7, 4)),
             (gen.star(3), 1, (False, None, 9)),
-            (gen.star(3), 2, (True, 5, 14)),
-            (gen.hypercube(3), 4, (True, 3, 4)),
+            (gen.star(3), 2, (True, 5, 6)),
+            (gen.hypercube(3), 4, (True, 3, 2)),
             (gen.complete_bipartite(3, 9), 3, (False, None, 267)),
-            (gen.complete_bipartite(3, 9), 4, (True, 9, 861)),
-            (gen.random_graph(12, 0.4, 1), 6, (True, 5, 350)),
+            (gen.complete_bipartite(3, 9), 4, (True, 9, 394)),
+            (gen.random_graph(12, 0.4, 1), 6, (True, 5, 4)),
         ],
     )
     def test_counts(self, g, b, expected):
@@ -278,7 +324,7 @@ class TestPinnedSearch:
 # sha256 of repr(feasible(g, b)), concatenated over every labeled graph with
 # at most 5 vertices in generation order and b = 0..n+1: pins states_expanded
 # and the schedule at every capacity, not only at c(G)
-FEASIBLE_N5_SHA256 = "347e769c3fe39aa82621e7842736527704b7f544c2b6a34677030cde2d67d26d"
+FEASIBLE_N5_SHA256 = "1143e17fff011935030b3b24d4e1e4a298055a0579eb9a5676496dfb5bbdcf74"
 
 
 def test_every_capacity_pinned():
