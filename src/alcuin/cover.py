@@ -8,16 +8,18 @@ maximum independent set is one maximum set per component.  There are two.
 - _highest_maximum_sets() lists a component's maximum independent sets,
   highest first, by an include-first search that takes the component's
   alpha from the first route as a fixed floor, and stops after as many as
-  its caller wants.  min_covers() asks for one more than the cover cap and
-  complements every set; _lowest_covers(), behind classify and so behind
-  every decision of c(G), asks for two and reads off beta and the one or
-  two lowest minimum covers.
+  its caller wants.  min_covers() asks for one more than the cover cap,
+  takes each set's complement within its component as that component's
+  piece of a cover, and multiplies the pieces; _lowest_covers(), behind
+  classify and so behind every decision of c(G), asks for two and reads
+  off beta and the one or two lowest minimum covers.
   A wrong alpha raises when the search meets a set larger than alpha or
   finds none as large; the tests check alpha and both callers against
   brute-force references.
 
 Above their vertex budget the cover routes raise before any search, and
-min_covers past MAX_COVERS covers, by the one budget rule in `errors`.
+min_covers past MAX_COVERS covers, counted before any cover is listed, by
+the one budget rule in `errors`.
 independent_levels() lists the independent subsets of a cover one size at a
 time, building each size only when its caller asks for it, so the pair scan
 and the expansion tests stop without building sizes they never read.
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 from .errors import check_cap, check_limit
-from .graph import Graph, is_independent, vertices_of
+from .graph import Graph, components, is_independent, vertices_of
 
 DEFAULT_ENUMERATION_LIMIT = 16
 MAX_COVERS = 1 << 16  # most covers listed, whatever the vertex limit allows
@@ -53,27 +55,11 @@ class CoverReport:
         return len(self.covers) == 1
 
 
-def _components(adj: tuple[int, ...], rest: int) -> list[int]:
-    """Connected components of the graph on the vertex set rest, as masks,
-    in order of their lowest vertex; rest must be a union of components."""
-    comps = []
-    while rest:
-        comp = todo = rest & -rest
-        while todo:
-            low = todo & -todo
-            new = adj[low.bit_length() - 1] & ~comp
-            comp |= new
-            todo = (todo ^ low) | new
-        rest ^= comp
-        comps.append(comp)
-    return comps
-
-
 def alpha(g: Graph) -> int:
     """Independence number: size of a largest pairwise non-adjacent set,
     summed over the connected components."""
     adj = g.adj
-    return sum(_alpha_within(adj, comp) for comp in _components(adj, g.full_mask))
+    return sum(_alpha_within(adj, comp) for comp in components(adj, g.full_mask))
 
 
 def _alpha_within(adj: tuple[int, ...], comp: int) -> int:
@@ -133,10 +119,10 @@ def _alpha_search(adj: tuple[int, ...], remaining: int, size: int, best: int) ->
     return _alpha_search(adj, remaining & ~(adj[v] | bit), size + 1, best)
 
 
-def _highest_maximum_sets(g: Graph, want: int) -> Iterator[tuple[int, list[int]]]:
-    """Per connected component, in order of lowest vertex: (alpha, its
-    highest maximum independent sets in descending mask order, at most want
-    of them).
+def _highest_maximum_sets(g: Graph, want: int) -> Iterator[tuple[int, int, list[int]]]:
+    """Per connected component, in order of lowest vertex: (its vertex
+    mask, its alpha, its highest maximum independent sets in descending
+    mask order, at most want of them).
 
     Include-first DFS on the highest candidate, where the candidates are the
     undecided vertices with no neighbor in the chosen set, cut once size +
@@ -151,7 +137,7 @@ def _highest_maximum_sets(g: Graph, want: int) -> Iterator[tuple[int, list[int]]
     vertices chosen, or when no set reaches alpha.
     """
     adj = g.adj
-    for comp in _components(adj, g.full_mask):
+    for comp in components(adj, g.full_mask):
         alpha_c = _alpha_within(adj, comp)
         hits: list[int] = []
 
@@ -178,34 +164,41 @@ def _highest_maximum_sets(g: Graph, want: int) -> Iterator[tuple[int, list[int]]
         rec(comp, 0, 0)
         if not hits:
             raise RuntimeError(f"no independent set of size alpha={alpha_c} found")
-        yield alpha_c, hits
+        yield comp, alpha_c, hits
 
 
-def _maximum_independent_sets(g: Graph) -> tuple[int, list[int]]:
-    """(alpha, every maximum independent set), one connected component at a time.
+def _minimum_covers(g: Graph) -> tuple[int, list[int]]:
+    """(beta, every minimum vertex cover), one connected component at a time.
 
-    A maximum independent set is a union of one maximum set per component,
-    so alpha is the sum of the component alphas and the sets are every
-    combination of the component sets, counted before they are listed.  A
-    component's search stops one set past the cap, enough to count past it.
+    A minimum cover is a union of one minimum cover per component, and a
+    component's minimum covers are the complements within it of its
+    maximum independent sets, so they come ascending.  The product of the
+    per-component counts is checked against the cap before any cover is
+    listed; a component's search stops one set past the cap, enough to
+    count past it.
 
-    The new component is the outer loop of each product.  Every component's
-    sets come in descending order, so when each component lies above the
-    ones before it, as in a perfect matching, the sets come out in
-    descending order and their complements ascending: min_covers' sort then
-    meets one run.  Components that interleave in vertex order break the
-    order, so min_covers still sorts.
+    The new component is the outer loop of each product, so when each
+    component lies above the ones before it, as in a perfect matching, the
+    covers come out ascending and min_covers' sort meets one run.
+    Components that interleave in vertex order break the order, so
+    min_covers still sorts.
     """
-    total, sets = 0, [0]
-    for alpha_c, found in _highest_maximum_sets(g, MAX_COVERS + 1):
+    total = 0
+    count = 1
+    pieces = []
+    for comp, alpha_c, found in _highest_maximum_sets(g, MAX_COVERS + 1):
         total += alpha_c
-        check_cap("cover enumeration", len(sets) * len(found), MAX_COVERS, "covers counted")
-        sets = [a | b for b in found for a in sets]
-    return total, sets
+        count *= len(found)
+        check_cap("cover enumeration", count, MAX_COVERS, "covers counted")
+        pieces.append([comp ^ s for s in found])
+    covers = [0]
+    for piece in pieces:
+        covers = [a | b for b in piece for a in covers]
+    return g.n - total, covers
 
 
 def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:
-    """Every minimum vertex cover, as complements of maximum independent sets.
+    """Every minimum vertex cover, as products of per-component covers.
 
     Raises BudgetExceededError, before any search, when g has more than
     full_limit vertices and at least one: one cover alone cannot tell
@@ -213,9 +206,9 @@ def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverRe
     at any full_limit, once the covers number more than MAX_COVERS.
     """
     check_limit("cover enumeration", g.n, full_limit)
-    a, sets = _maximum_independent_sets(g)
-    full = g.full_mask
-    return CoverReport(g.n - a, tuple(sorted(full ^ s for s in sets)))
+    beta, covers = _minimum_covers(g)
+    covers.sort()
+    return CoverReport(beta, tuple(covers))
 
 
 def _lowest_covers(g: Graph, full_limit: int) -> tuple[int, tuple[int, ...]]:
@@ -238,7 +231,7 @@ def _lowest_covers(g: Graph, full_limit: int) -> tuple[int, tuple[int, ...]]:
     check_limit("cover enumeration", g.n, full_limit)
     total = top = 0
     flips = []  # first_c ^ second_c for each component with two maximum sets
-    for alpha_c, hits in _highest_maximum_sets(g, 2):
+    for _, alpha_c, hits in _highest_maximum_sets(g, 2):
         total += alpha_c
         top |= hits[0]
         if len(hits) == 2:

@@ -75,22 +75,17 @@ class StructureWitness:
     b: int
 
 
-def _first_conflict(g: Graph, bank: int) -> tuple[int, int] | None:
-    for u in bits(bank):
-        m = g.adj[u] & bank
-        if m:
-            return u, (m & -m).bit_length() - 1
-    return None
-
-
 def verify_schedule(g: Graph, sched: Schedule) -> Violation | None:
     """Simulate a schedule; None when feasible, else the first violation.
 
     Checks, per move: alternation starting left-to-right, cargo drawn from
     the boat-side bank, cargo within capacity, and independence of the
     departure bank once the cargo is aboard.  The far bank was independent
-    when last left and has not changed, so it needs no re-check.
+    when last left and has not changed, so it needs no re-check.  A bank
+    conflict names the lowest bank vertex with a neighbor on the bank, and
+    its lowest such neighbor.
     """
+    adj = g.adj
     full = g.full_mask
     left, right = full, 0
     expected = LEFT_TO_RIGHT
@@ -102,10 +97,14 @@ def verify_schedule(g: Graph, sched: Schedule) -> Violation | None:
             return Violation(step, CARGO_NOT_ON_BANK)
         if move.cargo.bit_count() > sched.capacity:
             return Violation(step, CARGO_TOO_BIG)
-        rest = bank ^ move.cargo
-        conflict = _first_conflict(g, rest)
-        if conflict is not None:
-            return Violation(step, BANK_CONFLICT, conflict[0], conflict[1])
+        rest = m = bank ^ move.cargo
+        while m:
+            low = m & -m
+            u = low.bit_length() - 1
+            hit = adj[u] & rest
+            if hit:
+                return Violation(step, BANK_CONFLICT, u, (hit & -hit).bit_length() - 1)
+            m ^= low
         if expected == LEFT_TO_RIGHT:
             left, right = rest, right | move.cargo
             expected = RIGHT_TO_LEFT

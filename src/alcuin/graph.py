@@ -140,17 +140,39 @@ def is_independent(g: Graph, x: int) -> bool:
     return True
 
 
+def components(adj: tuple[int, ...], rest: int) -> list[int]:
+    """Connected components of the graph on the vertex set rest, as masks,
+    in order of their lowest vertex; rest must be a union of components."""
+    comps = []
+    while rest:
+        comp = todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & ~comp
+            comp |= new
+            todo = (todo ^ low) | new
+        rest ^= comp
+        comps.append(comp)
+    return comps
+
+
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph is a forest.
 
-    Girth 3 is an edge uv whose ends share a neighbour; girth 4, in a
-    triangle-free graph, is two vertices with two common neighbours.  Only
+    A graph with c components is a forest iff it has n - c edges, fewer
+    than n, so one flood fill that counts the components of a graph with
+    fewer edges than vertices spares a forest every search.  Girth 3 is an
+    edge uv whose ends share a neighbour; girth 4, in a triangle-free
+    graph, is two vertices with two common neighbours.  Only
     girth 5 and above needs breadth-first search from every vertex: each
     non-tree edge met at distance d(u), d(v) closes a walk of length
     d(u)+d(v)+1 through the root, which is a cycle-length upper bound, and
     the bound is tight for roots lying on a shortest cycle.
     """
     adj = g.adj
+    m = g.edge_count()
+    if m < g.n and m == g.n - len(components(adj, g.full_mask)):
+        return None
     for u in range(g.n):
         for v in bits(adj[u] >> (u + 1) << (u + 1)):
             if adj[u] & adj[v]:

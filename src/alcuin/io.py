@@ -5,19 +5,24 @@ headers are rejected outright.  JSON documents use a fixed key order and
 sorted arrays so identical inputs always produce identical bytes.
 
 `report_json` is the one encoder of the analysis document.  It writes the
-"covers" array without a list of ints per cover: every cover mask is packed
-into little-endian bytes, all of them in one bytes object, and one map over
-it looks each byte up in the table of its byte position (", 8, 10" for
-vertices 8 and 10 at position 1; the position-0 table also opens the row),
-filled on first use within the call.  On the perfect matching with 16
-edges, the 65,536 covers are written in about 25 ms, against about 49 ms
-with one join per cover and about 360 ms through per-cover lists and
-json.dumps (Python 3.11, 2-core machine).
+"covers" array without a list of ints per cover: one array call packs every
+cover mask as a little-endian 64-bit word, each word is cut to the bytes
+the graph needs, and one map over the bytes looks each byte up in the
+table of its byte position (", 8, 10" for vertices 8 and 10 at position
+1; the position-0 table also opens the row), filled on first use within
+the call.  On the perfect matching with 16 edges, the 65,536 covers are
+written in about 12.5 ms, against about 17.5 ms with one int.to_bytes call
+per cover (fastest of 21 calls each, interleaved in one process), and, as
+measured earlier on the same machine, about 49 ms with one join per cover
+and about 360 ms through per-cover lists and json.dumps (Python 3.11,
+2-core machine).
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from array import array
 from itertools import cycle
 from typing import Any
 
@@ -226,20 +231,28 @@ def _covers_text(n: int, covers: tuple[int, ...]) -> str:
     """The covers as a JSON array of ascending vertex arrays, written the
     way json.dumps writes the same lists, without building them.
 
-    Every cover is packed into width little-endian bytes, all of them in
-    one bytes object, and one map over it looks each byte up in the table
-    of its position.  The first "], " is cut.  A cover with no vertex
-    below 8 has a row that reads "], [, 8", and "[, " stands nowhere else,
-    since a vertex reads ", <digits>", so one replace mends every such row.
-    Only such a row looks up byte 0 in the position-0 table, so the scan
-    runs only if that table holds it ("in" fills nothing).  width is at
-    least 1, so that the one empty cover of the empty graph still opens
-    its row.  Every graph has a minimum cover, so the array is never
-    empty."""
+    Every cover fits one 64-bit word, since a graph has at most
+    MAX_VERTICES = 64 vertices, so one array call packs them all as
+    little-endian words.  Each row is cut to width bytes, one strided
+    slice per byte position.  One map over the bytes looks each up
+    in the table of its position.  The first "], " is cut.  A cover with
+    no vertex below 8 has a row that reads "], [, 8", and "[, " stands
+    nowhere else, since a vertex reads ", <digits>", so one replace mends
+    every such row.  Only such a row looks up byte 0 in the position-0
+    table, so the scan runs only if that table holds it ("in" fills
+    nothing).  width is at least 1, so that the one empty cover of the
+    empty graph still opens its row.  Every graph has a minimum cover, so
+    the array is never empty."""
     width = (n + 7) // 8 or 1
     tables = [_Fragments(8 * k) for k in range(width)]
-    raw = b"".join([c.to_bytes(width, "little") for c in covers])
-    text = "[" + "".join(map(dict.__getitem__, cycle(tables), raw))[3:] + "]]"
+    words = array("Q", covers)
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    rows = bytearray(width * len(covers))
+    for k in range(width):
+        rows[k::width] = raw[k::8]
+    text = "[" + "".join(map(dict.__getitem__, cycle(tables), rows))[3:] + "]]"
     return text.replace("[, ", "[") if 0 in tables[0] else text
 
 

@@ -519,19 +519,31 @@ def test_set_cap_exits_3():
     assert done.returncode == 3 and "set enumeration exceeds the limit 65536" in done.stderr
 
 
-def test_module_entry_point():
-    # `python -m alcuin.cli` runs entry() under the __main__ guard
+def _run_module(module, *argv):
+    """``python -m module *argv`` with the package importable from src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
-    done = subprocess.run(
-        [sys.executable, "-m", "alcuin.cli", "generate", "star:3"],
+    return subprocess.run(
+        [sys.executable, "-m", module, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_module_entry_point():
+    # `python -m alcuin.cli` runs entry() under the __main__ guard
+    done = _run_module("alcuin.cli", "generate", "star:3")
     assert (done.returncode, done.stdout) == (0, "Cs\n")
+
+
+def test_package_entry_point(capsys):
+    # `python -m alcuin` runs the package's __main__, the same CLI
+    argv = ["analyze", "--gen", "star:3"]
+    done = _run_module("alcuin", *argv)
+    assert (done.returncode, done.stdout) == run(capsys, *argv)[:2]
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from alcuin import cover
 from alcuin import generators as gen
 from alcuin.cover import (
     _lowest_covers,
-    _maximum_independent_sets,
+    _minimum_covers,
     check_minimum_cover,
     independent_levels,
 )
@@ -62,6 +63,35 @@ def random_union(seed: int, n: int) -> Graph:
         piece = gen.random_graph(k, rng.choice((0.3, 0.5, 0.8)), rng.getrandbits(64))
         edges += [(labels[start + u], labels[start + v]) for u, v in piece.edges()]
         start += k
+    return Graph.from_edges(n, edges)
+
+
+def mixed_union(seed: int) -> Graph:
+    """Disjoint union of stars and K_{a,b} with a < b (one minimum cover
+    each), edges and C4s (two each) and isolated vertices, on shuffled
+    vertex labels so the components interleave in vertex order."""
+    rng = random.Random(seed)
+    pieces = []
+    for _ in range(rng.randint(2, 6)):
+        kind = rng.randrange(5)
+        if kind == 0:
+            pieces.append(gen.star(rng.randint(2, 4)))
+        elif kind == 1:
+            a = rng.randint(1, 2)
+            pieces.append(gen.complete_bipartite(a, a + rng.randint(1, 2)))
+        elif kind == 2:
+            pieces.append(gen.complete(2))
+        elif kind == 3:
+            pieces.append(gen.cycle(4))
+        else:
+            pieces.append(gen.edgeless(1))
+    n = sum(p.n for p in pieces)
+    labels = list(range(n))
+    rng.shuffle(labels)
+    edges, start = [], 0
+    for p in pieces:
+        edges += [(labels[start + u], labels[start + v]) for u, v in p.edges()]
+        start += p.n
     return Graph.from_edges(n, edges)
 
 
@@ -146,8 +176,8 @@ class TestMinCovers:
         out_of_order = 0
         for seed in range(40):
             g = random_union(seed, 12 + seed % 9)
-            _, sets = _maximum_independent_sets(g)
-            out_of_order += sets != sorted(sets, reverse=True)
+            _, listed = _minimum_covers(g)
+            out_of_order += listed != sorted(listed)
             beta, covers = brute_min_covers(g)
             rep = min_covers(g, 20)
             assert (rep.beta, list(rep.covers)) == (beta, covers)
@@ -163,10 +193,10 @@ class TestMinCovers:
             CoverReport(1, (1,), complete=False)
 
     def test_budget_raises_before_search(self, monkeypatch):
-        def no_search(g):
+        def no_search(g, want):
             raise AssertionError("searched above the budget")
 
-        monkeypatch.setattr("alcuin.cover._maximum_independent_sets", no_search)
+        monkeypatch.setattr("alcuin.cover._highest_maximum_sets", no_search)
         message = "^cover enumeration for n=18 exceeds the limit 16$"
         with pytest.raises(BudgetExceededError, match=message):
             min_covers(gen.random_graph(18, 0.3, 5))
@@ -216,8 +246,30 @@ class TestCoverCap:
         message = budget_error(source)
         assert message == "cover enumeration exceeds the limit 65536 (65537 covers counted)"
 
+    def test_matching32_raises_before_listing_a_cover(self):
+        # the count is a product of per-component counts, so nothing the
+        # size of the cap is built before the cap refuses it
+        g = matching(32)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                min_covers(g, 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == "cover enumeration exceeds the limit 65536 (131072 covers counted)"
+        assert peak < 64 << 10
+
     def test_the_cap_itself_is_accepted(self):
         assert len(min_covers(matching(16), 64).covers) == 65536
+
+    def test_matching_across_the_halves_of_64_vertices(self):
+        # edges (i, i + 32): the components interleave, so the sort has work
+        g = Graph.from_edges(64, [(i, i + 32) for i in range(16)])
+        rep = min_covers(g, 64)
+        assert rep.beta == 16 and len(rep.covers) == 65536
+        assert list(rep.covers) == sorted(set(rep.covers))
+        assert rep.covers[0] == 0xFFFF and rep.covers[-1] == 0xFFFF << 32
 
     def test_ties_below_alpha_do_not_count(self):
         # 3^11 independent sets of size 12 pass the cap, but alpha = 13 is
@@ -258,11 +310,14 @@ class TestLowestCovers:
 
 
 class TestMaximumIndependentSets:
+    """The maximum independent sets, read off min_covers as complements."""
+
     @staticmethod
     def assert_matches_reference(g):
-        a, sets = _maximum_independent_sets(g)
+        rep = min_covers(g, 64)
+        sets = [g.full_mask ^ c for c in rep.covers]
         ref_a, ref_sets = brute_maximum_independent_sets(g)
-        assert (a, sorted(sets)) == (ref_a, sorted(ref_sets))
+        assert (g.n - rep.beta, sorted(sets)) == (ref_a, sorted(ref_sets))
 
     def test_every_graph_up_to_six_vertices(self):
         for n in range(7):
@@ -276,6 +331,8 @@ class TestMaximumIndependentSets:
             self.assert_matches_reference(gen.edgeless(n))
         # a matching padded with isolated vertices
         self.assert_matches_reference(Graph.from_edges(20, [(2 * i, 2 * i + 1) for i in range(7)]))
+        for m in range(1, 11):
+            self.assert_matches_reference(padded_matching(m))
 
     @pytest.mark.parametrize("error", [-1, 1])
     def test_wrong_alpha_raises(self, monkeypatch, error):
@@ -293,19 +350,20 @@ class TestMaximumIndependentSets:
     def test_random_unions_of_components(self):
         for seed in range(40):
             self.assert_matches_reference(random_union(seed, 12 + seed % 9))
+            self.assert_matches_reference(mixed_union(seed))
 
     @staticmethod
     def assert_descending(sets):
         assert all(a > b for a, b in zip(sets, sets[1:]))
 
     def test_components_in_vertex_order_list_descending(self):
-        # so that min_covers' sort of the complements meets one ascending run
+        # the covers come ascending, their independent sets descending, so
+        # that min_covers' sort meets one run
         for m in range(1, 17):
-            self.assert_descending(_maximum_independent_sets(matching(m))[1])
-            g = padded_matching(m)
-            _, sets = _maximum_independent_sets(g)
-            self.assert_descending(sets)
-            assert min_covers(g, 48).covers == tuple(g.full_mask ^ s for s in sets)
+            for g in (matching(m), padded_matching(m)):
+                _, covers = _minimum_covers(g)
+                self.assert_descending([g.full_mask ^ c for c in covers])
+                assert min_covers(g, 48).covers == tuple(covers)
 
     def test_matching16_cover_count_and_order(self):
         rep = min_covers(matching(16), 64)

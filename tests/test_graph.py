@@ -179,6 +179,14 @@ class TestGirth:
             (gen.complete_bipartite(11, 23), 4),
             (gen.star(30), None),
             (gen.path(10), None),
+            (gen.star(63), None),
+            (gen.path(64), None),
+            # a path, a star and a lone edge among isolated vertices
+            (Graph.from_edges(12, [(0, 3), (3, 7), (2, 5), (2, 9), (2, 11), (6, 10)]), None),
+            # the same forest plus (0, 7), which closes the triangle 0-3-7
+            (Graph.from_edges(12, [(0, 3), (3, 7), (2, 5), (2, 9), (2, 11), (6, 10), (0, 7)]), 3),
+            # a 40-vertex path closed by one edge into a 40-cycle
+            (Graph.from_edges(40, [(v, v + 1) for v in range(39)] + [(0, 39)]), 40),
         ],
     )
     def test_named_graphs_match_reference(self, g, expected):

@@ -195,9 +195,9 @@ def _assert_same_report(g):
 
 def _byte_edge_graphs():
     """Edgeless, complete and perfect-matching graphs at every n where a
-    cover mask gains or fills a byte; matchings while their 2^(n/2) covers
-    stay a short list."""
-    for n in (0, 1, 7, 8, 9, 15, 16, 17, 63, 64):
+    cover mask gains or fills a byte, so at every byte width from 1 to 8;
+    matchings while their 2^(n/2) covers stay a short list."""
+    for n in (0, 1, 7, 8, 9, 15, 16, 17, 24, 25, 40, 41, 48, 56, 57, 63, 64):
         yield pytest.param(gen.edgeless(n), id=f"edgeless{n}")
         yield pytest.param(gen.complete(n), id=f"complete{n}")
         if n % 2 == 0 and 0 < n <= 16:
