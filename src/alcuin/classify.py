@@ -77,50 +77,43 @@ def classification_condition(g: Graph, cover: int) -> ConditionHolds | PairWitne
 def _pair_scan(g: Graph, cover: int) -> ConditionHolds | PairWitness:
     """classification_condition on a cover the caller knows to be minimum.
 
-    The |S|+|T| = 2 round scans the singleton pairs {u}, {v} and records the
-    least common outside neighborhood among them, the floor.  Any S, T with
-    u in S and v in T share at least the common outside neighbors of u and
-    v, so no pair with |S|+|T| below the floor can be a witness, and the
-    scan resumes at the larger of 3 and the floor.  The first witness found
-    is the one the full scan would find.
+    One loop over totals |S|+|T|, from 2, with one floor rule.  A total
+    scanned in full without a witness also gives the least common outside
+    count among its pairs, and the scan moves to the larger of the next
+    total and that count.  This is exact: N(S) contains N(S') when S
+    contains S', and every pair at a larger total contains a pair at this
+    total (drop members, keeping both halves nonempty), so it has at least
+    the least count of common neighbors, and no total below it can hold a
+    witness.  The first witness found is the one the full scan would find.
 
-    Subsets of each size are built on demand, the first time the scan
-    reaches a total that pairs them.  The scan ends at the first total
-    whose larger half has no subsets, or past 2|C|, which a floor above
-    2|C| reaches without building any size above one.
+    Subsets of each size are built on demand: the scan at total t reads
+    every size from 1 to t - 1.  The scan ends once the total passes 2|C|,
+    so a floor above that builds no larger size, or at the first total
+    whose larger half has no subsets.
     """
     outside = g.full_mask & ~cover
     levels = (
         [(mask, nbrs & outside) for mask, nbrs in level]
         for level in independent_levels(g, cover)
     )
-    by_size = [[]]  # by_size[k]: k-subsets as (mask, outside nbrs)
-
-    def subsets(k: int) -> list[tuple[int, int]]:
-        while len(by_size) <= k:  # [] past the last size
+    by_size = [[]]  # by_size[k]: k-subsets as (mask, outside nbrs), [] past the last
+    total = 2
+    while total <= 2 * cover.bit_count():
+        while len(by_size) < total:
             by_size.append(next(levels, []))
-        return by_size[k]
-
-    singles = subsets(1)
-    floor = None
-    for i, (u_mask, u_nbrs) in enumerate(singles):
-        for v_mask, v_nbrs in singles[i:]:
-            common = (u_nbrs & v_nbrs).bit_count()
-            if common <= 2:
-                return PairWitness(cover, u_mask, v_mask)
-            if floor is None or common < floor:
-                floor = common
-    total = floor or 3
-    while total <= 2 * len(singles) and subsets((total + 1) // 2):
+        if not by_size[(total + 1) // 2]:
+            break
+        least = g.n
         for s_size in range(1, total // 2 + 1):
-            t_size = total - s_size
-            for s_mask, s_nbrs in subsets(s_size):
-                for t_mask, t_nbrs in subsets(t_size):
-                    if s_size == t_size and t_mask < s_mask:
-                        continue
-                    if (s_nbrs & t_nbrs).bit_count() <= total:
+            ss, ts = by_size[s_size], by_size[total - s_size]
+            for i, (s_mask, s_nbrs) in enumerate(ss):
+                for t_mask, t_nbrs in ts[i:] if 2 * s_size == total else ts:
+                    common = (s_nbrs & t_nbrs).bit_count()
+                    if common <= total:
                         return PairWitness(cover, s_mask, t_mask)
-        total += 1
+                    if common < least:
+                        least = common
+        total = max(total + 1, least)
     return ConditionHolds(cover)
 
 
@@ -170,7 +163,11 @@ def exists_2x_witness(g: Graph, cover: int) -> int | None:
 
 def _close_pair(g: Graph, cover: int) -> tuple[int, int] | None:
     """First cover pair u <= v with at most two common neighbors outside
-    the cover, or None; the cover is taken as given."""
+    the cover, or None; the cover is taken as given.
+
+    This is _pair_scan's total-2 round, kept apart on purpose: the survey
+    runs it on every class-two verdict, so a scan that let such a pair
+    through is counted as a violation instead of trusted."""
     outside = g.full_mask & ~cover
     members = list(bits(cover))
     for i, u in enumerate(members):

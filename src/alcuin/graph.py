@@ -9,12 +9,24 @@ or negative count, before it builds, through the one :func:`check_vertex_count`.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Iterator
 
 MAX_VERTICES = 64
+
+
+def packed_masks(masks: Iterable[int]) -> bytes:
+    """The masks as consecutive 8-byte little-endian words, in order: every
+    vertex set fits one word, since a graph has at most MAX_VERTICES = 64
+    vertices, so one array call packs them all."""
+    words = array("Q", masks)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
 
 
 def mask_of(vertices: Iterable[int]) -> int:

@@ -21,8 +21,6 @@ and about 360 ms through per-cover lists and json.dumps (Python 3.11,
 from __future__ import annotations
 
 import json
-import sys
-from array import array
 from itertools import cycle
 from typing import Any
 
@@ -34,7 +32,8 @@ from .classify import (
     PairWitness,
 )
 from .cover import CoverReport
-from .graph import MAX_VERTICES, Graph, girth, is_claw_free, is_regular, vertices_of
+from .graph import MAX_VERTICES, Graph, girth, is_claw_free, is_regular, packed_masks
+from .graph import vertices_of
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 
@@ -231,24 +230,19 @@ def _covers_text(n: int, covers: tuple[int, ...]) -> str:
     """The covers as a JSON array of ascending vertex arrays, written the
     way json.dumps writes the same lists, without building them.
 
-    Every cover fits one 64-bit word, since a graph has at most
-    MAX_VERTICES = 64 vertices, so one array call packs them all as
-    little-endian words.  Each row is cut to width bytes, one strided
-    slice per byte position.  One map over the bytes looks each up
-    in the table of its position.  The first "], " is cut.  A cover with
-    no vertex below 8 has a row that reads "], [, 8", and "[, " stands
-    nowhere else, since a vertex reads ", <digits>", so one replace mends
-    every such row.  Only such a row looks up byte 0 in the position-0
-    table, so the scan runs only if that table holds it ("in" fills
-    nothing).  width is at least 1, so that the one empty cover of the
-    empty graph still opens its row.  Every graph has a minimum cover, so
-    the array is never empty."""
+    graph.packed_masks packs every cover as one little-endian 64-bit
+    word.  Each row is cut to width bytes, one strided slice per byte
+    position.  One map over the bytes looks each up in the table of its
+    position.  The first "], " is cut.  A cover with no vertex below 8
+    has a row that reads "], [, 8", and "[, " stands nowhere else, since a
+    vertex reads ", <digits>", so one replace mends every such row.  Only
+    such a row looks up byte 0 in the position-0 table, so the scan runs
+    only if that table holds it ("in" fills nothing).  width is at least
+    1, so that the one empty cover of the empty graph still opens its row.
+    Every graph has a minimum cover, so the array is never empty."""
     width = (n + 7) // 8 or 1
     tables = [_Fragments(8 * k) for k in range(width)]
-    words = array("Q", covers)
-    if sys.byteorder == "big":
-        words.byteswap()
-    raw = words.tobytes()
+    raw = packed_masks(covers)
     rows = bytearray(width * len(covers))
     for k in range(width):
         rows[k::width] = raw[k::8]

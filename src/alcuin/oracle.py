@@ -50,13 +50,11 @@ first (largest) set in its table.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import check_limit
-from .graph import Graph
+from .graph import Graph, packed_masks
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule, _independent_sets
 
 DEFAULT_SEARCH_LIMIT = 12
@@ -87,14 +85,10 @@ class _SetTable:
             ends[s.bit_count()] += 1
         for k in range(g.n, -1, -1):
             ends[k] += ends[k + 1]
-        # the sets, last one first, as 8-byte little-endian words (every
-        # set fits one: graph.MAX_VERTICES is 64): byte v >> 3 of every
-        # word, read in turn, is a string of bytes whose bit v & 7 spells
-        # vertex v's bitmap, sets[0] in the lowest bit
-        words = array("Q", reversed(sets))
-        if sys.byteorder == "big":
-            words.byteswap()
-        raw = words.tobytes()
+        # the sets, last one first, as 8-byte little-endian words: byte
+        # v >> 3 of every word, read in turn, is a string of bytes whose
+        # bit v & 7 spells vertex v's bitmap, sets[0] in the lowest bit
+        raw = packed_masks(reversed(sets))
         self.sets = sets
         self.ends = ends
         self.members = [int(raw[v >> 3 :: 8].translate(_DIGITS[v & 7]), 2) for v in range(g.n)]

@@ -1,5 +1,7 @@
 import gc
 import importlib
+import inspect
+import random
 import sys
 
 import pytest
@@ -27,6 +29,14 @@ from alcuin.classify import _close_pair
 from brute import brute_classification_condition, brute_exists_2x_witness, brute_hall_strict
 from capped import run_capped
 from test_cover import ties_below_alpha
+
+
+def rbip(a, b, p, seed):
+    """Random bipartite graph: sides 0..a-1 and a..a+b-1, the pair (u, a + v)
+    an edge iff the next random.Random(seed) draw is below p."""
+    r = random.Random(seed)
+    edges = [(u, a + v) for u in range(a) for v in range(b) if r.random() < p]
+    return Graph.from_edges(a + b, edges)
 
 
 class TestConditionOnUniqueCovers:
@@ -144,6 +154,12 @@ class TestPairScanFloor:
             self.assert_matches_reference(gen.star(k))
         for d in (3, 4):
             self.assert_matches_reference(gen.hypercube(d))
+        # floors that jump more than one total: the first scans totals 2, 4
+        # and 6 and finds its witness at 6, which a jump to one past the
+        # least common count steps over; the second is class two, and its
+        # floor jumps from total 7 to 10
+        for a, b, p, seed in ((5, 10, 0.6, 7), (5, 15, 0.5, 14)):
+            self.assert_matches_reference(rbip(a, b, p, seed))
 
     # (n, p, seed) of G(n, p) graphs with a unique cover and no singleton-pair
     # witness: the reference answer is a pair with |S| + |T| >= 3, or none.
@@ -181,7 +197,8 @@ class TestPairScanFloor:
 
 
 class TestCliffs:
-    """Graphs that once took seconds; results only, no timing."""
+    """Graphs that once took seconds; results only, and a timeout where
+    the old time is far above it."""
 
     def test_q6_two_covers(self):
         cls = classify(gen.hypercube(6), 64)
@@ -215,6 +232,18 @@ class TestCliffs:
         cls = classify(ties_below_alpha(), 64)
         assert cls.verdict == CLASS_ONE and cls.c == 23
         assert isinstance(cls.reason, MultipleCovers)
+
+    def test_rbip14_class_two_in_time(self):
+        # every pair of the 2^14 subsets of the cover beats its total, so a
+        # scan of every total took about 7.5 s; the floor scans totals 2, 8
+        # and 20, then passes 2|C| = 28
+        source = (
+            "import random\nfrom alcuin import Graph, classify\n"
+            + inspect.getsource(rbip)
+            + "print(repr(classify(rbip(14, 42, 0.6, 1), 64)))"
+        )
+        expected = Classification(CLASS_TWO, 15, ConditionHolds(0x3FFF))
+        assert run_capped(source, timeout=3).stdout == repr(expected) + "\n"
 
     def test_k11_23_class_two(self):
         g = gen.complete_bipartite(11, 23)

@@ -127,8 +127,8 @@ class TestSetTable:
 
     def test_sets_fit_one_packed_word(self):
         assert graph.MAX_VERTICES <= 64, (
-            f"MAX_VERTICES = {graph.MAX_VERTICES}, but oracle._SetTable packs each "
-            "independent set into 64 bits: widen its packing before raising the cap"
+            f"MAX_VERTICES = {graph.MAX_VERTICES}, but graph.packed_masks packs each "
+            "vertex set into one 64-bit word: widen it before raising the cap"
         )
 
 
