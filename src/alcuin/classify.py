@@ -20,7 +20,7 @@ CLASS_ONE = "one"
 CLASS_TWO = "two"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MultipleCovers:
     """Two distinct minimum covers: class one without condition evaluation."""
 
@@ -28,7 +28,7 @@ class MultipleCovers:
     cover2: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairWitness:
     """Nonempty independent s, t within the cover whose common outside
     neighborhood has size at most |s| + |t|: certifies class one."""
@@ -38,14 +38,14 @@ class PairWitness:
     t: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConditionHolds:
     """Every candidate pair exceeds the bound: certifies class two."""
 
     cover: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Degenerate:
     """Empty graph; nothing to transport."""
 
@@ -53,7 +53,7 @@ class Degenerate:
 Reason = MultipleCovers | PairWitness | ConditionHolds | Degenerate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Classification:
     verdict: str
     c: int

@@ -39,28 +39,32 @@ class _CliError(Exception):
         self.code = code
 
 
+# families that take a fixed number of arguments: name -> (parsers, builder)
+_FIXED_FAMILIES = {
+    "star": ((int,), generators.star),
+    "path": ((int,), generators.path),
+    "cycle": ((int,), generators.cycle),
+    "complete": ((int,), generators.complete),
+    "complete-bipartite": ((int, int), generators.complete_bipartite),
+    "edgeless": ((int,), generators.edgeless),
+    "petersen": ((), generators.petersen),
+    "hypercube": ((int,), generators.hypercube),
+    "overlapping-stars": ((int,), generators.overlapping_stars),
+    "paper-family": ((int,), generators.overlapping_stars),
+    "random": ((int, float, int), generators.random_graph),
+    "random-bipartite": ((int, int, float, int), generators.random_bipartite),
+}
+
+
 def _gen_spec(spec: str) -> Graph:
     name, _, rest = spec.partition(":")
     args = rest.split(",") if rest else []
     try:
-        if name == "star":
-            return generators.star(int(args[0]))
-        if name == "path":
-            return generators.path(int(args[0]))
-        if name == "cycle":
-            return generators.cycle(int(args[0]))
-        if name == "complete":
-            return generators.complete(int(args[0]))
-        if name == "complete-bipartite":
-            return generators.complete_bipartite(int(args[0]), int(args[1]))
-        if name == "edgeless":
-            return generators.edgeless(int(args[0]))
-        if name == "petersen":
-            return generators.petersen()
-        if name == "hypercube":
-            return generators.hypercube(int(args[0]))
-        if name in ("overlapping-stars", "paper-family"):
-            return generators.overlapping_stars(int(args[0]))
+        if name in _FIXED_FAMILIES:
+            parsers, build = _FIXED_FAMILIES[name]
+            if len(args) != len(parsers):
+                raise ValueError(f"expected {len(parsers)} argument(s) for {name}, got {len(args)}")
+            return build(*(parse(a) for parse, a in zip(parsers, args)))
         if name == "pruefer":
             seq = [int(a) for a in args]
             return generators.tree_from_pruefer(seq)
@@ -69,8 +73,6 @@ def _gen_spec(spec: str) -> Graph:
             return cartesian_product(io.parse_graph6(g6a), io.parse_graph6(g6b))
         if name == "circulant":
             return generators.circulant(int(args[0]), [int(a) for a in args[1:]])
-        if name == "random":
-            return generators.random_graph(int(args[0]), float(args[1]), int(args[2]))
     except (ValueError, IndexError) as exc:
         raise _CliError(EXIT_INPUT, f"bad generator spec {spec!r}: {exc}") from None
     raise _CliError(EXIT_INPUT, f"unknown generator family {name!r}")

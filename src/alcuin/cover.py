@@ -37,7 +37,7 @@ DEFAULT_ENUMERATION_LIMIT = 16
 MAX_COVERS = 1 << 16  # most covers listed, whatever the vertex limit allows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverReport:
     """Every minimum vertex cover of a graph, in ascending mask order.
 
@@ -177,10 +177,14 @@ def _minimum_covers(g: Graph) -> tuple[int, list[int]]:
     listed; a component's search stops one set past the cap, enough to
     count past it.
 
-    The new component is the outer loop of each product, so when each
-    component lies above the ones before it, as in a perfect matching, the
-    covers come out ascending and min_covers' sort meets one run.
-    Components that interleave in vertex order break the order, so
+    The pieces are multiplied in balanced halves, adjacent pieces in pairs
+    with the later one the outer loop, until one list is left: a long list
+    is copied once per halving, not once per component, so one-cover
+    components such as isolated vertices cost next to nothing.  The order
+    is a left-to-right product's, the later component varying slowest, so
+    when each component lies above the ones before it, as in a perfect
+    matching, the covers come out ascending and min_covers' sort meets one
+    run.  Components that interleave in vertex order break the order, so
     min_covers still sorts.
     """
     total = 0
@@ -191,10 +195,11 @@ def _minimum_covers(g: Graph) -> tuple[int, list[int]]:
         count *= len(found)
         check_cap("cover enumeration", count, MAX_COVERS, "covers counted")
         pieces.append([comp ^ s for s in found])
-    covers = [0]
-    for piece in pieces:
-        covers = [a | b for b in piece for a in covers]
-    return g.n - total, covers
+    while len(pieces) > 1:
+        pairs = zip(pieces[0::2], pieces[1::2])
+        odd = pieces[len(pieces) & ~1 :]
+        pieces = [[a | b for b in later for a in earlier] for earlier, later in pairs] + odd
+    return g.n - total, pieces[0] if pieces else [0]
 
 
 def min_covers(g: Graph, full_limit: int = DEFAULT_ENUMERATION_LIMIT) -> CoverReport:

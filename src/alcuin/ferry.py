@@ -31,13 +31,13 @@ WRONG_DIRECTION = "wrong_direction"
 MAX_SETS = 1 << 16  # most independent sets listed, whatever a vertex limit allows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Move:
     direction: str
     cargo: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Schedule:
     capacity: int
     moves: tuple[Move, ...]
@@ -47,7 +47,7 @@ class Schedule:
             raise ValueError("negative boat capacity")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """First rule broken by a schedule; step indexes moves from 0, with
     step == len(moves) marking the terminal all-transported check."""
@@ -58,7 +58,7 @@ class Violation:
     v: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureWitness:
     """Five sets certifying feasibility at capacity b.
 

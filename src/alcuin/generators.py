@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-from typing import Iterator, Sequence
+from itertools import combinations, product
+from typing import Iterable, Iterator, Sequence
 
 from .graph import Graph, cartesian_product, check_vertex_count
 
@@ -165,14 +165,31 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     (n, p, seed) arguments reproduce the same graph on any implementation.
     """
     check_vertex_count(n)
+    return _sample_pairs(n, combinations(range(n), 2), p, seed)
+
+
+def random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
+    """Random bipartite graph on sides 0..a-1 and a..a+b-1, under
+    random_graph's contract: the pairs (u, a + v) are visited with u the
+    outer loop, each an edge iff the next draw is below p.
+    """
+    check_vertex_count(a + b)
+    if a < 0 or b < 0:
+        raise ValueError("negative part size")
+    return _sample_pairs(a + b, product(range(a), range(a, a + b)), p, seed)
+
+
+def _sample_pairs(n: int, pairs: Iterable[tuple[int, int]], p: float, seed: int) -> Graph:
+    """The graph on n vertices keeping each pair, in the order given, iff
+    the next splitmix64 draw from seed, scaled to [0, 1) via its top 53
+    bits, is below p."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     threshold = int(p * (1 << 53))
     state = seed & _M64
     edges = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            state, draw = _splitmix64(state)
-            if (draw >> 11) < threshold:
-                edges.append((u, v))
+    for pair in pairs:
+        state, draw = _splitmix64(state)
+        if (draw >> 11) < threshold:
+            edges.append(pair)
     return Graph.from_edges(n, edges)

@@ -68,7 +68,7 @@ def check_vertex_count(n: int) -> None:
         raise ValueError(f"vertex count {n} outside 0..{MAX_VERTICES}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Simple undirected graph: vertex count plus one neighbor mask per vertex.
 

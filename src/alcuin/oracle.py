@@ -63,7 +63,7 @@ DEFAULT_SEARCH_LIMIT = 12
 _DIGITS = [bytes(b"01"[x >> j & 1] for x in range(256)) for j in range(8)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     feasible: bool
     min_crossings: int | None

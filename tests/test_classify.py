@@ -188,6 +188,32 @@ class TestPairScanFloor:
             assert hall_strict(g, cover) == brute_hall_strict(g, cover)
         assert outcomes == {None, (1, 2), (2, 2)}
 
+    @pytest.mark.parametrize("k, m", [(3, 9), (5, 12)])
+    def test_equal_sizes_read_each_pair_once(self, monkeypatch, k, m):
+        # On K_{k,m} with m > 2k every cover pair has m common neighbors, so
+        # the floor ends the scan after total 2: k masks cut to the outside,
+        # then each of the k(k+1)/2 unordered singleton pairs compared once.
+        ands = []
+
+        class Counted(int):
+            def __and__(self, other):
+                ands.append(1)
+                return Counted(int(self) & int(other))
+
+            __rand__ = __and__
+
+        module = sys.modules[classify.__module__]
+        real = module.independent_levels
+
+        def counted_levels(g, base):
+            for level in real(g, base):
+                yield [(mask, Counted(nbrs)) for mask, nbrs in level]
+
+        monkeypatch.setattr(module, "independent_levels", counted_levels)
+        g = gen.complete_bipartite(k, m)
+        assert classify(g, 64) == Classification(CLASS_TWO, k + 1, ConditionHolds((1 << k) - 1))
+        assert len(ands) == k + k * (k + 1) // 2
+
     def test_witness_walks_on_every_cover(self):
         for n in range(6):
             for g in gen.all_labeled_graphs(n):

@@ -471,6 +471,40 @@ class TestGenerate:
         code, _, _ = run(capsys, "generate", "moebius:5")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "star:3,999",
+            "path:4,1",
+            "cycle:5,5",
+            "complete:3,1",
+            "complete-bipartite:2,3,4",
+            "complete-bipartite:2",
+            "edgeless:3,0",
+            "petersen:5",
+            "hypercube:2,2",
+            "overlapping-stars:1,1",
+            "paper-family:1,1",
+            "random:5,0.5",
+            "random:5,0.5,1,2",
+            "random-bipartite:2,3,0.5",
+            "random-bipartite:2,3,0.5,1,1",
+        ],
+    )
+    def test_wrong_argument_count_exits_2(self, capsys, spec):
+        code, out, err = run(capsys, "generate", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad generator spec {spec!r}: expected ")
+        assert err.count("\n") == 1
+
+    def test_random_bipartite_spec(self, capsys):
+        code, out, _ = run(capsys, "generate", "random-bipartite:3,4,0.5,1")
+        assert code == 0
+        assert parse_graph6(out.strip()) == gen.random_bipartite(3, 4, 0.5, 1)
+        code, _, err = run(capsys, "generate", "random-bipartite:3,4,1.5,1")
+        message = "error: bad generator spec 'random-bipartite:3,4,1.5,1': p must lie in [0, 1]\n"
+        assert (code, err) == (2, message)
+
     def test_bad_arity_exits_2(self, capsys):
         # an empty field is a bad argument, not a skipped one
         for spec in ("star:", "pruefer:1,,2", "pruefer:0,0,"):

@@ -2,6 +2,7 @@ import pytest
 
 from alcuin import cartesian_product, girth, is_bipartite, is_regular, mask_of
 from alcuin import generators as gen
+from alcuin.io import serialize_graph6
 from brute import is_connected
 
 
@@ -58,6 +59,7 @@ class TestBasicFamilies:
         pytest.param(lambda: gen.overlapping_stars(31), id="overlapping_stars-31"),
         pytest.param(lambda: gen.tree_from_pruefer([0] * 63), id="tree_from_pruefer-63"),
         pytest.param(lambda: gen.random_graph(65, 0.5, 1), id="random_graph-65"),
+        pytest.param(lambda: gen.random_bipartite(30, 35, 0.5, 1), id="random_bipartite-30-35"),
         pytest.param(lambda: gen.hypercube(7), id="hypercube-7"),
         pytest.param(
             lambda: cartesian_product(gen.complete(5), gen.complete(13)), id="product-5x13"
@@ -183,3 +185,28 @@ class TestRandomGraph:
         state, out = gen._splitmix64(0)
         assert state == 0x9E3779B97F4A7C15
         assert out == 0xE220A8397B1DCDAF
+
+
+class TestRandomBipartite:
+    def test_extreme_probabilities(self):
+        for a, b in ((0, 0), (0, 3), (3, 0), (2, 5), (4, 4)):
+            assert gen.random_bipartite(a, b, 0.0, 7) == gen.edgeless(a + b)
+            assert gen.random_bipartite(a, b, 1.0, 7) == gen.complete_bipartite(a, b)
+
+    def test_edges_cross_the_sides(self):
+        for seed in range(20):
+            g = gen.random_bipartite(5, 8, 0.4, seed)
+            assert all(u < 5 <= v for u, v in g.edges())
+
+    def test_pinned_seed(self):
+        # pairs (u, 3 + v) drawn u-major from the seed-1 splitmix64 stream
+        g = gen.random_bipartite(3, 4, 0.5, 1)
+        assert g.edges() == [(0, 6), (1, 3), (2, 3), (2, 5)]
+        assert serialize_graph6(g) == "FB?c?"
+
+    def test_arguments_validated(self):
+        for p in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+                gen.random_bipartite(2, 2, p, 0)
+        with pytest.raises(ValueError, match="negative part size"):
+            gen.random_bipartite(-1, 3, 0.5, 0)
