@@ -69,11 +69,15 @@ def _gen_spec(spec: str) -> Graph:
             seq = [int(a) for a in args]
             return generators.tree_from_pruefer(seq)
         if name == "product":
-            g6a, g6b = rest.split(",", 1)
-            return cartesian_product(io.parse_graph6(g6a), io.parse_graph6(g6b))
+            # graph6 bytes are 63..126, so no comma falls inside a factor
+            if len(args) != 2:
+                raise ValueError(f"expected 2 argument(s) for product, got {len(args)}")
+            return cartesian_product(io.parse_graph6(args[0]), io.parse_graph6(args[1]))
         if name == "circulant":
+            if not args:
+                raise ValueError("expected at least 1 argument(s) for circulant, got 0")
             return generators.circulant(int(args[0]), [int(a) for a in args[1:]])
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise _CliError(EXIT_INPUT, f"bad generator spec {spec!r}: {exc}") from None
     raise _CliError(EXIT_INPUT, f"unknown generator family {name!r}")
 

@@ -59,7 +59,7 @@ def alpha(g: Graph) -> int:
     """Independence number: size of a largest pairwise non-adjacent set,
     summed over the connected components."""
     adj = g.adj
-    return sum(_alpha_within(adj, comp) for comp in components(adj, g.full_mask))
+    return sum(_alpha_within(adj, comp) for comp in components(g))
 
 
 def _alpha_within(adj: tuple[int, ...], comp: int) -> int:
@@ -137,7 +137,7 @@ def _highest_maximum_sets(g: Graph, want: int) -> Iterator[tuple[int, int, list[
     vertices chosen, or when no set reaches alpha.
     """
     adj = g.adj
-    for comp in components(adj, g.full_mask):
+    for comp in components(g):
         alpha_c = _alpha_within(adj, comp)
         hits: list[int] = []
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import sys
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Iterator
@@ -152,9 +151,9 @@ def is_independent(g: Graph, x: int) -> bool:
     return True
 
 
-def components(adj: tuple[int, ...], rest: int) -> list[int]:
-    """Connected components of the graph on the vertex set rest, as masks,
-    in order of their lowest vertex; rest must be a union of components."""
+def components(g: Graph) -> list[int]:
+    """Connected components of g, as masks, in order of their lowest vertex."""
+    adj, rest = g.adj, g.full_mask
     comps = []
     while rest:
         comp = todo = rest & -rest
@@ -171,19 +170,23 @@ def components(adj: tuple[int, ...], rest: int) -> list[int]:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None when the graph is a forest.
 
-    A graph with c components is a forest iff it has n - c edges, fewer
-    than n, so one flood fill that counts the components of a graph with
-    fewer edges than vertices spares a forest every search.  Girth 3 is an
-    edge uv whose ends share a neighbour; girth 4, in a triangle-free
-    graph, is two vertices with two common neighbours.  Only
-    girth 5 and above needs breadth-first search from every vertex: each
-    non-tree edge met at distance d(u), d(v) closes a walk of length
-    d(u)+d(v)+1 through the root, which is a cycle-length upper bound, and
-    the bound is tight for roots lying on a shortest cycle.
+    A graph with no edges is a forest, and so is one with c components and
+    n - c edges, fewer than n, so one flood fill that counts the components
+    of a graph with fewer edges than vertices spares a forest every search.
+    Girth 3 is an edge uv whose ends share a neighbour; girth 4, in a
+    triangle-free graph, is two vertices with two common neighbours.  Only
+    girth 5 and above walks breadth-first levels, as masks, from every
+    vertex: an edge inside level k closes a walk of length 2k + 1 through
+    the root, and a vertex of level k + 1 with two neighbours in level k
+    closes one of length 2k + 2.  Each such closed walk holds a cycle no
+    longer than it, so every length found bounds the girth from above.  The
+    bound is exact: a root on a shortest cycle, of length g, sees it close
+    at depth floor(g / 2), and no level closes a walk shorter than g.  A
+    root stops once 2k + 1 reaches the best length found.
     """
     adj = g.adj
     m = g.edge_count()
-    if m < g.n and m == g.n - len(components(adj, g.full_mask)):
+    if not m or (m < g.n and m == g.n - len(components(g))):
         return None
     for u in range(g.n):
         for v in bits(adj[u] >> (u + 1) << (u + 1)):
@@ -193,26 +196,23 @@ def girth(g: Graph) -> int | None:
         for v in range(u + 1, g.n):
             if (adj[u] & adj[v]).bit_count() >= 2:
                 return 4
-    best: int | None = None
-    for src in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            if best is not None and 2 * du >= best:
-                continue
-            for v in bits(adj[u]):
-                if dist[v] < 0:
-                    dist[v] = du + 1
-                    parent[v] = u
-                    queue.append(v)
-                elif parent[u] != v:
-                    cycle = du + dist[v] + 1
-                    if best is None or cycle < best:
-                        best = cycle
+    best = g.n + 1  # the graph has a cycle, so the girth is at most n
+    for root in range(g.n):
+        level = seen = 1 << root
+        depth = 0
+        while level and 2 * depth + 1 < best:
+            once = twice = 0
+            for v in bits(level):
+                nb = adj[v]
+                if nb & level:
+                    best = 2 * depth + 1
+                nb &= ~seen
+                twice |= once & nb
+                once |= nb
+            if twice:
+                best = min(best, 2 * depth + 2)
+            seen |= once
+            level, depth = once, depth + 1
     return best
 
 
@@ -251,45 +251,39 @@ def is_bipartite(g: Graph) -> tuple[int, int] | None:
     """Two-coloring (side_a, side_b) masks, or None if an odd cycle exists.
 
     Deterministic: the lowest-index vertex of each component goes to side a.
+    From that vertex the component is walked in breadth-first levels, as
+    masks: even levels join side a, odd levels side b, and an edge inside
+    a level closes an odd cycle.
     """
-    color = [-1] * g.n
-    for src in range(g.n):
-        if color[src] >= 0:
-            continue
-        color[src] = 0
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in bits(g.adj[u]):
-                if color[v] < 0:
-                    color[v] = color[u] ^ 1
-                    queue.append(v)
-                elif color[v] == color[u]:
+    adj = g.adj
+    sides = [0, 0]
+    rest = g.full_mask
+    while rest:
+        level, depth = rest & -rest, 0
+        while level:
+            sides[depth & 1] |= level
+            rest &= ~level
+            reach = 0
+            for v in bits(level):
+                if adj[v] & level:
                     return None
-    a = b = 0
-    for v, c in enumerate(color):
-        if c == 0:
-            a |= 1 << v
-        else:
-            b |= 1 << v
-    return a, b
+                reach |= adj[v]
+            level, depth = reach & rest, depth + 1
+    return sides[0], sides[1]
 
 
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """Cartesian product; vertex (u, v) gets index u * h.n + v.
 
-    (u, v) ~ (x, y) iff u == x and v ~ y, or v == y and u ~ x.
+    (u, v) ~ (x, y) iff u == x and v ~ y, or v == y and u ~ x.  Row (u, v)
+    is h's row v shifted into block u, OR u's spread shifted by v, where
+    the spread holds the lowest bit of every block x with x ~ u.
     """
     n = g.n * h.n
     check_vertex_count(n)
-    adj = [0] * n
-    for u in range(g.n):
+    adj: list[int] = []
+    for u, row in enumerate(g.adj):
+        spread = sum(1 << x * h.n for x in bits(row))
         base = u * h.n
-        for v in range(h.n):
-            m = 0
-            for y in bits(h.adj[v]):
-                m |= 1 << (base + y)
-            for x in bits(g.adj[u]):
-                m |= 1 << (x * h.n + v)
-            adj[base + v] = m
+        adj += (m << base | spread << v for v, m in enumerate(h.adj))
     return Graph(n, tuple(adj))

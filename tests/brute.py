@@ -10,7 +10,7 @@ json.dumps.  Small n only, apart from the report.
 
 import json
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 from alcuin import (
     Graph,
@@ -73,6 +73,19 @@ def brute_girth(g: Graph) -> int | None:
             if best is None or cycle < best:
                 best = cycle
     return best
+
+
+def brute_bipartite(g: Graph) -> tuple[int, int] | None:
+    """Sides (a, b) of a proper two-colouring, or None when there is none,
+    by trying every colouring.  Colourings come in lexicographic order of
+    the colours of vertices 0, 1, ..., so the first proper one puts the
+    lowest vertex of each component on side a."""
+    edges = g.edges()
+    for colours in product((0, 1), repeat=g.n):
+        if all(colours[u] != colours[v] for u, v in edges):
+            b = sum(c << v for v, c in enumerate(colours))
+            return g.full_mask ^ b, b
+    return None
 
 
 def brute_is_claw_free(g: Graph) -> bool:

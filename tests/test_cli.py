@@ -449,6 +449,12 @@ class TestGenerate:
         g = parse_graph6(out.strip())
         assert g.n == 6 and g.edge_count() == 9
 
+    def test_circulant_spec(self, capsys):
+        # steps 1 and 2 on 6 vertices: K6 less the matching i -- i + 3
+        code, out, _ = run(capsys, "generate", "circulant:6,1,2")
+        assert (code, out) == (0, "EznW\n")
+        assert parse_graph6("EznW") == gen.circulant(6, [1, 2])
+
     def test_pruefer_spec(self, capsys):
         code, out, _ = run(capsys, "generate", "pruefer:0,0")
         assert code == 0
@@ -489,6 +495,10 @@ class TestGenerate:
             "random:5,0.5,1,2",
             "random-bipartite:2,3,0.5",
             "random-bipartite:2,3,0.5,1,1",
+            "circulant:",
+            "product:",
+            "product:Bw",
+            "product:Bw,Bw,Bw",
         ],
     )
     def test_wrong_argument_count_exits_2(self, capsys, spec):

@@ -41,6 +41,8 @@ class TestBasicFamilies:
         assert gen.circulant(5, (1, 2)) == gen.complete(5)
         with pytest.raises(ValueError):
             gen.circulant(4, (4,))
+        with pytest.raises(ValueError, match="^circulant needs at least one vertex$"):
+            gen.circulant(0, [1])
 
 
 @pytest.mark.parametrize(
@@ -70,6 +72,23 @@ def test_one_vertex_cap(build):
     # every constructor refuses an oversize or negative count through
     # graph.check_vertex_count, with its one message
     with pytest.raises(ValueError, match=r"^vertex count -?\d+ outside 0\.\.64$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(lambda: gen.star(-1), "negative leaf count", id="star--1"),
+        pytest.param(lambda: gen.complete_bipartite(-1, 2), "negative part size", id="kab--1-2"),
+        pytest.param(lambda: gen.complete_bipartite(2, -1), "negative part size", id="kab-2--1"),
+        pytest.param(lambda: gen.hypercube(-1), "negative dimension", id="hypercube--1"),
+    ],
+)
+def test_negative_size_guards(build, message):
+    # check_vertex_count lets these through (star(-1) asks for k + 1 = 0
+    # vertices, complete_bipartite(-1, 2) for 1, and hypercube builds by
+    # products), so each family's own guard names the fault
+    with pytest.raises(ValueError, match=f"^{message}$"):
         build()
 
 

@@ -17,7 +17,16 @@ from alcuin import (
     vertices_of,
 )
 from alcuin import generators as gen
-from brute import brute_girth, brute_is_claw_free
+from brute import brute_bipartite, brute_girth, brute_is_claw_free
+
+
+def disjoint_union(*graphs):
+    """The graphs side by side, each one's vertices numbered above the last's."""
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(base + u, base + v) for u, v in g.edges()]
+        base += g.n
+    return Graph.from_edges(base, edges)
 
 
 def test_mask_helpers_roundtrip():
@@ -187,10 +196,27 @@ class TestGirth:
             (Graph.from_edges(12, [(0, 3), (3, 7), (2, 5), (2, 9), (2, 11), (6, 10), (0, 7)]), 3),
             # a 40-vertex path closed by one edge into a 40-cycle
             (Graph.from_edges(40, [(v, v + 1) for v in range(39)] + [(0, 39)]), 40),
+            # roots on the C7 set the best length to 7 first, and the shorter
+            # cycle closes only at depth floor(g / 2), so a walk that stops a
+            # root one level early returns 7
+            (disjoint_union(gen.cycle(7), gen.cycle(5)), 5),
+            (disjoint_union(gen.cycle(7), gen.cycle(6)), 6),
         ],
     )
     def test_named_graphs_match_reference(self, g, expected):
         assert girth(g) == brute_girth(g) == expected
+
+    def test_sparse_random_graphs_match_reference(self):
+        # seeded G(n, 2/n), n = 8..30, until 200 of them have girth 5 or
+        # more: only those reach the level walk
+        long_cycles = seed = 0
+        while long_cycles < 200:
+            n = 8 + seed % 23
+            g = gen.random_graph(n, 2 / n, seed)
+            expected = brute_girth(g)
+            assert girth(g) == expected
+            long_cycles += expected is not None and expected >= 5
+            seed += 1
 
     def test_finite_girth_bounds(self):
         for g in gen.all_labeled_graphs(5):
@@ -264,6 +290,11 @@ class TestBipartite:
         a, b = is_bipartite(g)
         assert a == mask_of([0, 2]) and b == mask_of([1, 3])
 
+    def test_agrees_with_reference_exhaustively(self):
+        for n in range(7):
+            for g in gen.all_labeled_graphs(n):
+                assert is_bipartite(g) == brute_bipartite(g)
+
     def test_bipartite_implies_even_girth(self):
         for g in gen.all_labeled_graphs(5):
             if is_bipartite(g) is not None:
@@ -298,6 +329,15 @@ class TestCartesianProduct:
             prod = cartesian_product(a, b)
             assert prod.n == a.n * b.n
             assert prod.edge_count() == a.n * b.edge_count() + b.n * a.edge_count()
+
+    def test_matches_definition_on_random_pairs(self):
+        rng = random.Random(11)
+        for seed in range(200):
+            g = gen.random_graph(rng.randint(0, 8), rng.random(), seed)
+            h = gen.random_graph(rng.randint(0, 8), rng.random(), 1000 + seed)
+            edges = [(u * h.n + v, u * h.n + y) for u in range(g.n) for v, y in h.edges()]
+            edges += [(u * h.n + v, x * h.n + v) for u, x in g.edges() for v in range(h.n)]
+            assert cartesian_product(g, h) == Graph.from_edges(g.n * h.n, edges)
 
     def test_capacity_error(self):
         with pytest.raises(ValueError):
