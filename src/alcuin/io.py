@@ -1,8 +1,10 @@
 """Bit-exact interchange: graph6, edge lists, and JSON documents.
 
 Only short-form graph6 is supported (n <= 62, one-byte size field); extended
-headers are rejected outright.  JSON documents use a fixed key order and
-sorted arrays so identical inputs always produce identical bytes.
+headers are rejected outright.  The graph6 codec moves one column of the
+upper triangle at a time: column j is vertex j's neighbours below j.  JSON
+documents use a fixed key order and sorted arrays so identical inputs
+always produce identical bytes.
 
 `report_json` is the one encoder of the analysis document.  It writes the
 "covers" array without a list of ints per cover: one array call packs every
@@ -33,12 +35,17 @@ from .classify import (
 )
 from .cover import CoverReport
 from .graph import MAX_VERTICES, Graph, girth, is_claw_free, is_regular, packed_masks
-from .graph import vertices_of
+from .graph import bits, vertices_of
 from .ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
 
 
 class FormatError(ValueError):
     """Malformed external input."""
+
+
+# each payload character and its six bits, most significant first
+_SIX_BITS = {chr(63 + v): f"{v:06b}" for v in range(64)}
+_SIX_CHARS = {six: ch for ch, six in _SIX_BITS.items()}
 
 
 def parse_graph6(text: str) -> Graph:
@@ -48,6 +55,8 @@ def parse_graph6(text: str) -> Graph:
     each holding six upper-triangle adjacency bits (pairs (0,1), (0,2),
     (1,2), (0,3), ... column-major), most significant bit first, zero-padded.
     Wrong length, out-of-range bytes and nonzero padding are all rejected.
+    The payload becomes one int whose bit k is the k-th pair, so column j,
+    vertex j's neighbours below j, is its next j low bits.
     """
     s = text.strip()
     if not s:
@@ -63,43 +72,31 @@ def parse_graph6(text: str) -> Graph:
     payload = s[1:]
     if len(payload) != need:
         raise FormatError(f"graph6 payload for n={n} must be {need} bytes, got {len(payload)}")
-    values = []
     for ch in payload:
-        v = ord(ch) - 63
-        if not 0 <= v < 64:
+        if not "?" <= ch <= "~":
             raise FormatError(f"graph6 byte {ord(ch)} outside 63..126")
-        values.append(v)
-    adj = [0] * n
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            bit = values[k // 6] >> (5 - k % 6) & 1
-            if bit:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            k += 1
-    if need and values[-1] & ((1 << (need * 6 - nbits)) - 1):
+    pairs = int("0" + "".join([_SIX_BITS[ch] for ch in payload])[::-1], 2)
+    if pairs >> nbits:
         raise FormatError("nonzero graph6 padding bits")
+    adj: list[int] = []
+    for j in range(n):
+        column = pairs & ~(-1 << j)
+        pairs >>= j
+        for i in bits(column):
+            adj[i] |= 1 << j
+        adj.append(column)
     return Graph(n, tuple(adj))
 
 
 def serialize_graph6(g: Graph) -> str:
-    """Canonical short-form graph6 encoding of a graph (n <= 62)."""
+    """Canonical short-form graph6 encoding of a graph (n <= 62): each
+    column in binary, reversed so that vertex 0 comes first."""
     if g.n > 62:
         raise ValueError("graph6 short form is capped at 62 vertices")
-    out = [chr(63 + g.n)]
-    acc = 0
-    nbits = 0
-    for j in range(1, g.n):
-        for i in range(j):
-            acc = acc << 1 | (g.adj[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(chr(63 + acc))
-                acc = nbits = 0
-    if nbits:
-        out.append(chr(63 + (acc << (6 - nbits))))
-    return "".join(out)
+    columns = "".join([f"{g.adj[j] & ~(-1 << j):0{j}b}"[::-1] for j in range(1, g.n)])
+    columns += "0" * (-len(columns) % 6)
+    sixes = [columns[k : k + 6] for k in range(0, len(columns), 6)]
+    return chr(63 + g.n) + "".join(map(_SIX_CHARS.__getitem__, sixes))
 
 
 def parse_edge_list(text: str) -> Graph:

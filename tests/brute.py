@@ -4,8 +4,9 @@ These deliberately use different algorithms than the package: covers come
 from subset enumeration by ascending size, girth from per-edge shortest
 paths, alpha and claw-freeness from raw combinations, the ferry search
 rebuilds every state's cargos from scratch, the five-set search tries every
-partition of X, and the analysis report is a dict of lists passed to
-json.dumps.  Small n only, apart from the report.
+partition of X, the analysis report is a dict of lists passed to
+json.dumps, and graph6 moves one upper-triangle pair at a time.  Small n
+only, apart from the report and graph6.
 """
 
 import json
@@ -27,7 +28,7 @@ from alcuin.classify import Classification
 from alcuin.cover import CoverReport
 from alcuin.errors import BudgetExceededError
 from alcuin.ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT, Move, Schedule
-from alcuin.io import _REASON_KINDS, _witness_fields
+from alcuin.io import _REASON_KINDS, FormatError, _witness_fields
 from alcuin.oracle import SearchResult
 
 
@@ -318,6 +319,62 @@ def brute_report_json(g: Graph, cls: Classification, covers: CoverReport) -> str
         "witness": _witness_fields(cls.reason),
     }
     return json.dumps(report)
+
+
+def brute_parse_graph6(text: str) -> Graph:
+    """graph6 decoded one pair at a time, with the same checks, order and
+    messages as `alcuin.io.parse_graph6`."""
+    s = text.strip()
+    if not s:
+        raise FormatError("empty graph6 string")
+    head = ord(s[0])
+    if head == 126:
+        raise FormatError("extended graph6 size fields are not supported")
+    n = head - 63
+    if not 0 <= n <= 62:
+        raise FormatError(f"invalid graph6 size byte {head}")
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    payload = s[1:]
+    if len(payload) != need:
+        raise FormatError(f"graph6 payload for n={n} must be {need} bytes, got {len(payload)}")
+    values = []
+    for ch in payload:
+        v = ord(ch) - 63
+        if not 0 <= v < 64:
+            raise FormatError(f"graph6 byte {ord(ch)} outside 63..126")
+        values.append(v)
+    adj = [0] * n
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            bit = values[k // 6] >> (5 - k % 6) & 1
+            if bit:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+            k += 1
+    if need and values[-1] & ((1 << (need * 6 - nbits)) - 1):
+        raise FormatError("nonzero graph6 padding bits")
+    return Graph(n, tuple(adj))
+
+
+def brute_serialize_graph6(g: Graph) -> str:
+    """graph6 encoded one pair at a time through a six-bit accumulator."""
+    if g.n > 62:
+        raise ValueError("graph6 short form is capped at 62 vertices")
+    out = [chr(63 + g.n)]
+    acc = 0
+    nbits = 0
+    for j in range(1, g.n):
+        for i in range(j):
+            acc = acc << 1 | (g.adj[i] >> j & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(chr(63 + acc))
+                acc = nbits = 0
+    if nbits:
+        out.append(chr(63 + (acc << (6 - nbits))))
+    return "".join(out)
 
 
 def brute_structure_search(g: Graph, b: int, limit: int = 10) -> StructureWitness | None:

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -16,8 +17,41 @@ from alcuin.io import (
     serialize_graph6,
 )
 from alcuin.ferry import LEFT_TO_RIGHT, RIGHT_TO_LEFT
-from brute import brute_report_json
+from brute import brute_parse_graph6, brute_report_json, brute_serialize_graph6
 from test_cover import ties_below_alpha
+
+
+def _seeded_graphs():
+    """Seeded G(n, p) over the whole short form, n = 0..62."""
+    return [
+        gen.random_graph(n, p, seed)
+        for n in range(63)
+        for p in (0, 0.1, 0.5, 1)
+        for seed in range(3)
+    ]
+
+
+def _junk_graph6(count, seed):
+    """Short strings of characters 32..129, and valid strings with one
+    character replaced, so that every check of the parser is reached."""
+    rng = random.Random(seed)
+    valid = [serialize_graph6(gen.random_graph(rng.randrange(9), 0.5, k)) for k in range(50)]
+    junk = []
+    for _ in range(count):
+        if rng.random() < 0.5:
+            junk.append("".join(chr(rng.randrange(32, 130)) for _ in range(rng.randrange(8))))
+        else:
+            s = rng.choice(valid)
+            k = rng.randrange(len(s))
+            junk.append(s[:k] + chr(rng.randrange(32, 130)) + s[k + 1 :])
+    return junk
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except FormatError as exc:
+        return str(exc)
 
 
 class TestGraph6:
@@ -39,34 +73,78 @@ class TestGraph6:
         for s in ["Bw", "Bg", "@", "?", "D??", "DUO", "IheA@GUAo"]:
             assert serialize_graph6(parse_graph6(s)) == s
 
+    def test_codec_matches_the_pairwise_reference(self):
+        graphs = [g for n in range(7) for g in gen.all_labeled_graphs(n)] + _seeded_graphs()
+        texts = []
+        for g in graphs:
+            text = serialize_graph6(g)
+            assert text == brute_serialize_graph6(g), g
+            texts.append(text)
+        for text in texts + _junk_graph6(4000, 1):
+            assert _parsed(parse_graph6, text) == _parsed(brute_parse_graph6, text), text
+
+    def test_codec_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        for g in _seeded_graphs():
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            theirs = nx.to_graph6_bytes(h, header=False).decode("ascii").strip()
+            assert serialize_graph6(g) == theirs
+            assert parse_graph6(theirs) == g
+
     def test_trailing_newline_tolerated(self):
         assert parse_graph6("Bw\n") == gen.complete(3)
 
     def test_payload_too_short(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="payload for n=5 must be 2 bytes, got 1"):
             parse_graph6("D?")
 
     def test_payload_too_long(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="payload for n=5 must be 2 bytes, got 3"):
             parse_graph6("D???")
 
     def test_out_of_range_byte(self):
-        with pytest.raises(FormatError):
+        # strip() takes a trailing space off, so the payload comes up short
+        with pytest.raises(FormatError, match="payload for n=3 must be 1 bytes, got 0"):
             parse_graph6("B" + chr(32))
+        with pytest.raises(FormatError, match="graph6 byte 32 outside 63..126"):
+            parse_graph6("D" + chr(32) + "?")
         with pytest.raises(FormatError, match="outside 63..126"):
             parse_graph6("B!")
 
+    @pytest.mark.parametrize("head", [">", "!", chr(127), chr(200)])
+    def test_invalid_size_byte(self, head):
+        with pytest.raises(FormatError, match=f"invalid graph6 size byte {ord(head)}$"):
+            parse_graph6(head + "??")
+
     def test_nonzero_padding_rejected(self):
         # n=3 uses 3 of 6 payload bits; 'y' = 111010 has padding bit set
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="nonzero graph6 padding bits"):
             parse_graph6("By")
 
+    def test_each_padding_bit_rejected(self):
+        checked = 0
+        for n in range(13):
+            nbits = n * (n - 1) // 2
+            for g in (gen.edgeless(n), gen.complete(n)):
+                payload = [ord(ch) - 63 for ch in serialize_graph6(g)[1:]]
+                for k in range(nbits, 6 * len(payload)):
+                    bad = payload.copy()
+                    bad[k // 6] |= 1 << (5 - k % 6)
+                    text = chr(63 + n) + "".join(chr(63 + v) for v in bad)
+                    with pytest.raises(FormatError, match="nonzero graph6 padding bits"):
+                        parse_graph6(text)
+                    checked += 1
+        # n = 2, 3, 5, 6, 7, 8, 10, 11 have padding; n = 4, 9, 12 fill their bytes
+        assert checked == 2 * (5 + 3 + 2 + 3 + 3 + 2 + 3 + 5)
+
     def test_extended_header_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="extended graph6 size fields are not supported"):
             parse_graph6("~??")
 
     def test_empty_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="empty graph6 string"):
             parse_graph6("")
 
     def test_oversized_graph_rejected(self):
